@@ -13,6 +13,7 @@ L-pixel axis sits at 2 pi k / L, negative frequencies in the upper half.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,16 +31,15 @@ _BANDWIDTH_REL_FLOOR = 1e-2
 _SLOPE_MARGIN = 0.95
 
 
-def _freq_grids(shape):
+@functools.lru_cache(maxsize=4)
+def _freq_radius(shape):
+    """Radial frequency of every FFT bin, rad/px; cached per shape, read-only."""
     height, width = shape
     ky = TWO_PI * np.fft.fftfreq(height)
     kx = TWO_PI * np.fft.fftfreq(width)
-    return kx[None, :], ky[:, None]
-
-
-def _freq_radius(shape):
-    kx, ky = _freq_grids(shape)
-    return np.hypot(kx, ky)
+    rho = np.hypot(kx[None, :], ky[:, None])
+    rho.setflags(write=False)
+    return rho
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,15 @@ class SpectralMask:
 
 
 def remove_carrier(field: ComplexField, carrier: CarrierSpec) -> ComplexField:
-    """Translate the spectrum by multiplying with e^{-i(u0 x + v0 y)}."""
-    return ComplexField(field.values * np.exp(-1j * carrier.phase_field(field.shape)))
+    """Translate the spectrum by multiplying with e^{-i(u0 x + v0 y)}.
+
+    The carrier factor is separable, e^{-i u0 x} e^{-i v0 y}, so only two
+    1-D exponentials are evaluated.
+    """
+    height, width = field.shape
+    values = field.values * np.exp(-1j * carrier.u0 * np.arange(width, dtype=np.float64))
+    values *= np.exp(-1j * carrier.v0 * np.arange(height, dtype=np.float64))[:, None]
+    return ComplexField(values)
 
 
 def lowpass(field: ComplexField, mask: SpectralMask) -> ComplexField:
@@ -211,6 +218,32 @@ def demodulate_spatial(
     magnitude.  The recovered phase is independent of the per-frame step
     errors up to a piston (and spectral truncation of the wavefront).
 
+    Everything after the temporal step is :func:`spatial_from_temporal`,
+    which documents the guards and the returned triple.
+    """
+    return spatial_from_temporal(
+        demodulate_temporal(stack, spec),
+        carrier=carrier,
+        metadata_carrier=stack.metadata.carrier,
+        mask=mask,
+        apply_filter=apply_filter,
+        min_modulus_ratio=min_modulus_ratio,
+    )
+
+
+def spatial_from_temporal(
+    temporal: ComplexField,
+    carrier: CarrierSpec | None = None,
+    metadata_carrier: CarrierSpec | None = None,
+    mask: SpectralMask | None = None,
+    apply_filter: bool = True,
+    min_modulus_ratio: float = 1e-9,
+):
+    """Carrier removal and spectral low-pass of an already demodulated field.
+
+    The carrier is ``carrier`` when given, else ``metadata_carrier`` (the
+    stack's recorded carrier), else estimated from ``temporal``.
+
     Guards, all refusals with diagnostics:
 
     * the mask cutoff must stay below the carrier magnitude;
@@ -229,12 +262,10 @@ def demodulate_spatial(
         ``apply_filter`` is False), and diagnostics including the estimated
         bandwidth and the energy fraction the mask admits beyond it.
     """
-    temporal = demodulate_temporal(stack, spec)
-
     if carrier is not None:
         source = "given"
-    elif stack.metadata.carrier is not None:
-        carrier, source = stack.metadata.carrier, "metadata"
+    elif metadata_carrier is not None:
+        carrier, source = metadata_carrier, "metadata"
     else:
         carrier, source = estimate_carrier(temporal), "estimated"
 

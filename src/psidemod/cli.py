@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 precondition refusal or bad parameters,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .carrier import SpectralMask, demodulate_spatial, remove_carrier
+from .carrier import SpectralMask, remove_carrier, spatial_from_temporal
 from .conjugate import ConjugatePair, predicted_error_map
 from .errors import DegeneracyError, RefusalError
 from .fields import (
@@ -421,11 +420,8 @@ def _run_demod(params: dict, out: Path) -> int:
     elif method == "spatial":
         carrier_request = params["demod_carrier"]
         carrier_arg = None
-        if carrier_request == "estimate":
-            stack = dataclasses.replace(
-                stack, metadata=dataclasses.replace(stack.metadata, carrier=None)
-            )
-        elif carrier_request != "auto":
+        metadata_carrier = None if carrier_request == "estimate" else stack.metadata.carrier
+        if carrier_request not in ("auto", "estimate"):
             if carrier_request is None:
                 raise ValueError("demod carrier must be 'auto', 'estimate' or 'u0[,v0]'")
             carrier_arg = CarrierSpec(float(carrier_request[0]), float(carrier_request[1]))
@@ -434,8 +430,12 @@ def _run_demod(params: dict, out: Path) -> int:
             mask = SpectralMask(float(params["cutoff"]), params["border_crop"])
         elif params["border_crop"] is not None:
             raise ValueError("border_crop without cutoff is ambiguous; give both")
-        phase, field, diag = demodulate_spatial(
-            stack, spec, carrier=carrier_arg, mask=mask, apply_filter=params["filter"]
+        phase, field, diag = spatial_from_temporal(
+            temporal,
+            carrier=carrier_arg,
+            metadata_carrier=metadata_carrier,
+            mask=mask,
+            apply_filter=params["filter"],
         )
         diagnostics = {"method": "spatial", **diag.to_dict()}
         crop = diag.mask.border_crop

@@ -25,10 +25,29 @@ ERROR_KINDS = ("zero", "uniform", "gaussian", "quadratic-pzt")
 
 
 def wrap(values):
-    """Wrap phase values (radians) to the interval [-pi, pi)."""
-    w = (np.asarray(values, dtype=np.float64) + np.pi) % TWO_PI - np.pi
-    # the modulo can round up to exactly 2*pi for tiny negative arguments
-    return np.where(w >= np.pi, w - TWO_PI, w)
+    """Wrap phase values (radians) to the interval [-pi, pi).
+
+    Always returns a new ndarray (0-d for scalar input); the input is only read.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    w = np.add(v, np.pi, out=np.empty(v.shape))
+    w /= TWO_PI
+    np.floor(w, out=w)
+    w *= TWO_PI
+    np.subtract(v, w, out=w)
+    return fold(w)
+
+
+def fold(w):
+    """Fold values lying within one period of [-pi, pi) into it, in place.
+
+    Enough for the difference of two wrapped values, and for the last
+    rounding step of :func:`wrap`.  Returns ``w``.
+    """
+    w[w < -np.pi] += TWO_PI
+    # the add can round up to exactly pi, so the upper fix-up comes second
+    w[w >= np.pi] -= TWO_PI
+    return w
 
 
 def _freeze(obj, name, array):
@@ -322,6 +341,105 @@ def _max_slope_along(truth: PhaseMap, carrier: CarrierSpec) -> float:
     return float(np.abs(directional).max())
 
 
+@dataclass(frozen=True)
+class SynthesisBasis:
+    """What every stack of one truth shares: validated scalars and cos/sin of
+    the base phase ``truth + carrier``, built by :func:`synthesis_basis`."""
+
+    background: float
+    contrast: float
+    nominal_step: float
+    n_frames: int
+    carrier: CarrierSpec | None
+    noise_sigma: float
+    cos: np.ndarray
+    sin: np.ndarray
+
+
+def synthesis_basis(
+    truth: PhaseMap,
+    background,
+    contrast,
+    nominal_step,
+    n_frames,
+    carrier: CarrierSpec | None = None,
+    noise_sigma=0.0,
+) -> SynthesisBasis:
+    """Validate the schedule-independent synthesis inputs and precompute
+    cos and sin of the base phase; the checks and refusals are those of
+    :func:`generate_stack`."""
+    background = float(background)
+    contrast = float(contrast)
+    nominal_step = float(nominal_step)
+    n_frames = int(n_frames)
+    noise_sigma = float(noise_sigma)
+    if not np.isfinite(background) or not np.isfinite(contrast) or contrast <= 0.0:
+        raise ValueError(f"need finite background and contrast > 0, got a={background!r} b={contrast!r}")
+    if background < contrast:
+        raise ValueError(f"background {background} < contrast {contrast} gives negative intensities")
+    if n_frames < 3:
+        raise ValueError(f"stack needs at least 3 frames, got {n_frames}")
+    if noise_sigma < 0.0 or not np.isfinite(noise_sigma):
+        raise ValueError(f"noise sigma must be finite and >= 0, got {noise_sigma!r}")
+
+    base = truth.values
+    if carrier is not None:
+        slope = _max_slope_along(truth, carrier)
+        if carrier.magnitude <= slope:
+            raise RefusalError(
+                f"carrier magnitude {carrier.magnitude:.6g} rad/px must exceed the maximum "
+                f"wavefront slope {slope:.6g} rad/px along the carrier direction"
+            )
+        base = truth.values + carrier.phase_field(truth.shape)
+    cos, sin = np.cos(base), np.sin(base)
+    cos.setflags(write=False)
+    sin.setflags(write=False)
+    return SynthesisBasis(
+        background, contrast, nominal_step, n_frames, carrier, noise_sigma, cos, sin
+    )
+
+
+def stack_from_basis(
+    basis: SynthesisBasis, errors: ErrorSchedule | None = None, seed=None
+) -> InterferogramStack:
+    """Synthesize one stack from a basis and a step-error schedule.
+
+    Frame n is ``a + b*(C*cos(s_n) - S*sin(s_n))`` with ``C``, ``S`` the
+    basis cos/sin and ``s_n = n*w0 + eps_n``, i.e. ``a + b*cos(base + s_n)``.
+    Noise draws are those of :func:`generate_stack` for the same seed.
+    """
+    n_frames = basis.n_frames
+    if errors is None:
+        errors = ErrorSchedule(np.zeros(n_frames))
+    if errors.n_frames != n_frames:
+        raise RefusalError(
+            f"error schedule has {errors.n_frames} entries for a {n_frames}-frame stack"
+        )
+
+    rng = np.random.default_rng(seed) if basis.noise_sigma > 0.0 else None
+    frames = np.empty((n_frames,) + basis.cos.shape)
+    scratch = np.empty(basis.cos.shape)
+    for n in range(n_frames):
+        shift = n * basis.nominal_step + errors.deviations[n]
+        frame = frames[n]
+        np.multiply(basis.cos, basis.contrast * np.cos(shift), out=frame)
+        np.multiply(basis.sin, basis.contrast * np.sin(shift), out=scratch)
+        frame -= scratch
+        frame += basis.background
+        if rng is not None:
+            frame += rng.normal(0.0, basis.noise_sigma, size=frame.shape)
+
+    meta = StackMetadata(
+        background=basis.background,
+        contrast=basis.contrast,
+        carrier=basis.carrier,
+        errors=errors,
+        noise_sigma=basis.noise_sigma,
+        seed=int(seed) if isinstance(seed, (int, np.integer)) else None,
+    )
+    return InterferogramStack(frames, basis.nominal_step, meta)
+
+
 def generate_stack(
     truth: PhaseMap,
     background,
@@ -341,51 +459,9 @@ def generate_stack(
     cannot separate the signal from its conjugate and the call refuses.
     Noise, when ``noise_sigma > 0``, is additive white Gaussian drawn from
     a generator seeded with ``seed``; generation is bit-reproducible.
+
+    Equivalent to :func:`stack_from_basis` on :func:`synthesis_basis`; call
+    those two directly to synthesize many schedules of one truth.
     """
-    background = float(background)
-    contrast = float(contrast)
-    nominal_step = float(nominal_step)
-    n_frames = int(n_frames)
-    noise_sigma = float(noise_sigma)
-    if not np.isfinite(background) or not np.isfinite(contrast) or contrast <= 0.0:
-        raise ValueError(f"need finite background and contrast > 0, got a={background!r} b={contrast!r}")
-    if background < contrast:
-        raise ValueError(f"background {background} < contrast {contrast} gives negative intensities")
-    if n_frames < 3:
-        raise ValueError(f"stack needs at least 3 frames, got {n_frames}")
-    if noise_sigma < 0.0 or not np.isfinite(noise_sigma):
-        raise ValueError(f"noise sigma must be finite and >= 0, got {noise_sigma!r}")
-
-    if errors is None:
-        errors = ErrorSchedule(np.zeros(n_frames))
-    if errors.n_frames != n_frames:
-        raise RefusalError(
-            f"error schedule has {errors.n_frames} entries for a {n_frames}-frame stack"
-        )
-
-    base = truth.values
-    if carrier is not None:
-        slope = _max_slope_along(truth, carrier)
-        if carrier.magnitude <= slope:
-            raise RefusalError(
-                f"carrier magnitude {carrier.magnitude:.6g} rad/px must exceed the maximum "
-                f"wavefront slope {slope:.6g} rad/px along the carrier direction"
-            )
-        base = truth.values + carrier.phase_field(truth.shape)
-
-    rng = np.random.default_rng(seed) if noise_sigma > 0.0 else None
-    frames = np.empty((n_frames, truth.height, truth.width))
-    for n in range(n_frames):
-        frames[n] = background + contrast * np.cos(base + (n * nominal_step + errors.deviations[n]))
-        if rng is not None:
-            frames[n] += rng.normal(0.0, noise_sigma, size=base.shape)
-
-    meta = StackMetadata(
-        background=background,
-        contrast=contrast,
-        carrier=carrier,
-        errors=errors,
-        noise_sigma=noise_sigma,
-        seed=int(seed) if isinstance(seed, (int, np.integer)) else None,
-    )
-    return InterferogramStack(frames, nominal_step, meta)
+    basis = synthesis_basis(truth, background, contrast, nominal_step, n_frames, carrier, noise_sigma)
+    return stack_from_basis(basis, errors, seed)

@@ -303,10 +303,16 @@ def write_line_cut_csv(path, columns: dict) -> Path:
 
 
 def write_montecarlo_csv(path, summary) -> Path:
-    """Per-trial table of a Monte-Carlo run: trial, leak_ratio, pv_waves."""
+    """Per-trial table of a Monte-Carlo run: trial, leak_ratio, pv_waves.
+
+    One row per successful trial, labelled with its index in the run;
+    failed trials (``summary.failures``) have no row.
+    """
     path = Path(path)
+    failed = {index for index, _ in summary.failures}
+    succeeded = [index for index in range(summary.trials) if index not in failed]
     lines = ["trial,leak_ratio,pv_waves"]
-    for index, (ratio, pv) in enumerate(zip(summary.leak_ratios, summary.pv_waves)):
+    for index, ratio, pv in zip(succeeded, summary.leak_ratios, summary.pv_waves):
         lines.append(f"{index},{_fmt(ratio)},{_fmt(pv)}")
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -12,8 +12,10 @@ from .fields import (
     TWO_PI,
     CarrierSpec,
     PhaseMap,
-    generate_stack,
+    fold,
     make_error_schedule,
+    stack_from_basis,
+    synthesis_basis,
     wrap,
 )
 from .conjugate import conjugate_amplitudes
@@ -48,7 +50,10 @@ def wrapped_diff(first: PhaseMap, second: PhaseMap) -> PhaseMap:
     """Pointwise wrapped difference first - second in [-pi, pi)."""
     if first.shape != second.shape:
         raise ValueError(f"phase maps differ in shape: {first.shape} vs {second.shape}")
-    return PhaseMap(wrap(first.values - second.values), wrapped=True)
+    diff = first.values - second.values
+    # two wrapped maps differ by less than one period beyond [-pi, pi)
+    diff = fold(diff) if first.wrapped and second.wrapped else wrap(diff)
+    return PhaseMap(diff, wrapped=True)
 
 
 def _interior(shape, crop):
@@ -62,7 +67,7 @@ def _interior(shape, crop):
 
 
 def _circular_mean(values: np.ndarray) -> float:
-    return float(np.angle(np.mean(np.exp(1j * values))))
+    return float(np.arctan2(np.sin(values).sum(), np.cos(values).sum()))
 
 
 def remove_piston_tilt(diff: PhaseMap, crop: int = 0, tilt: bool = True):
@@ -213,6 +218,16 @@ def montecarlo_repeatability(
     temporal_reference = PhaseMap(wrap(reference_values), wrapped=True)
     truth_wrapped = PhaseMap(wrap(truth.values), wrapped=True)
 
+    # truth and carrier are fixed, so every trial shares one synthesis basis;
+    # a slope refusal of that basis fails each trial as generate_stack would
+    try:
+        basis = synthesis_basis(
+            truth, background, contrast, spec.nominal_step, spec.n_steps, carrier, noise_sigma
+        )
+        refusal = None
+    except RefusalError as exc:
+        basis, refusal = None, str(exc)
+
     children = np.random.SeedSequence(seed).spawn(trials)
     pvs, ratios, failures = [], [], []
     for index, child in enumerate(children):
@@ -225,18 +240,11 @@ def montecarlo_repeatability(
             seed=schedule_seed,
         )
         ratio = conjugate_amplitudes(spec, schedule, contrast).leak_ratio
+        if refusal is not None:
+            failures.append((index, refusal))
+            continue
         try:
-            stack = generate_stack(
-                truth,
-                background,
-                contrast,
-                spec.nominal_step,
-                spec.n_steps,
-                errors=schedule,
-                carrier=carrier,
-                noise_sigma=noise_sigma,
-                seed=noise_seed,
-            )
+            stack = stack_from_basis(basis, schedule, noise_seed)
             if method == "temporal":
                 phase, _ = field_phase(demodulate_temporal(stack, spec))
                 diff = wrapped_diff(phase, temporal_reference)

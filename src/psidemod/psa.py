@@ -171,7 +171,15 @@ def demodulate_temporal(stack: InterferogramStack, spec: PsaSpec) -> ComplexFiel
             f"algorithm nominal step {spec.nominal_step!r} does not match "
             f"stack nominal step {stack.nominal_step!r}"
         )
-    values = np.tensordot(spec.combined_taps(), stack.frames, axes=1)
+    # the frames are real, so one real matmul (HW x N) @ (N x 2) gives the
+    # interleaved real and imaginary parts of S directly in complex layout
+    taps = spec.combined_taps()
+    values = np.empty(stack.shape, dtype=np.complex128)
+    np.matmul(
+        stack.frames.reshape(stack.n_frames, -1).T,
+        np.stack([taps.real, taps.imag], axis=1),
+        out=values.view(np.float64).reshape(-1, 2),
+    )
     return ComplexField(values)
 
 
@@ -193,5 +201,8 @@ def field_phase(field: ComplexField, min_modulus_ratio: float = 1e-9):
         valid = modulus >= min_modulus_ratio * peak
     else:
         valid = np.zeros(field.shape, dtype=bool)
-    phase = np.where(valid, wrap(np.angle(field.values)), 0.0)
+    # np.angle lies in [-pi, pi]; only +pi needs mapping into [-pi, pi)
+    phase = np.angle(field.values)
+    phase[phase == np.pi] = -np.pi
+    phase[~valid] = 0.0
     return PhaseMap(phase, wrapped=True), valid

@@ -37,6 +37,24 @@ def test_remove_carrier_inverse_pair():
     assert np.abs(back.values - values).max() < 1e-12
 
 
+def test_remove_carrier_matches_two_dimensional_exponential():
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(48, 40)) + 1j * rng.normal(size=(48, 40))
+    carrier = p.CarrierSpec(0.7, -0.4)
+    expected = values * np.exp(-1j * carrier.phase_field(values.shape))
+    got = p.remove_carrier(p.ComplexField(values), carrier).values
+    assert np.abs(got - expected).max() < 1e-12
+
+
+def test_frequency_radius_cached_read_only():
+    from psidemod.carrier import _freq_radius
+
+    rho = _freq_radius((6, 8))
+    assert rho is _freq_radius((6, 8))
+    assert not rho.flags.writeable
+    assert rho[0, 0] == 0.0 and rho[3, 0] == pytest.approx(np.pi)
+
+
 # --- low-pass filter ---
 
 

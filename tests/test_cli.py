@@ -143,6 +143,24 @@ def test_demod_fig9_removes_ripple(tmp_path):
     assert cut[0] == "x,filtered,unfiltered,reference,error"
 
 
+def test_demod_spatial_runs_the_temporal_step_once(tmp_path, monkeypatch):
+    calls = []
+    original = p.demodulate_temporal
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (cli, p.carrier, p.psa):
+        monkeypatch.setattr(module, "demodulate_temporal", counting)
+    code, _, err = run_cli(
+        "demod", "--preset", "fig9", "--width", 64, "--height", 64, "--amplitude", 1.0,
+        "--line-cut-row", 32, "--out", tmp_path / "x",
+    )
+    assert code == 0, err
+    assert len(calls) == 1
+
+
 def test_demod_spatial_needs_a_carrier(tmp_path):
     code, _, err = run_cli(
         "demod", "--out", tmp_path / "x",

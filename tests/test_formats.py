@@ -242,3 +242,17 @@ def test_read_f32_size_check(tmp_path):
     assert read_f32(tmp_path / "v.f32", (2, 3)).shape == (2, 3)
     with pytest.raises(ValueError, match="expected"):
         read_f32(tmp_path / "v.f32", (4, 4))
+
+
+def test_montecarlo_csv_labels_rows_with_trial_index(tmp_path, sh5):
+    # the +-pi case of test_montecarlo_records_failures_without_aborting
+    truth = p.synthesize_wavefront("defocus", 3.5, (64, 64))
+    summary = p.montecarlo_repeatability(
+        truth, sh5, error_kind="uniform", error_magnitude=np.pi, trials=30, seed=3
+    )
+    failed = {index for index, _ in summary.failures}
+    assert 0 < len(failed) < 30
+    lines = write_montecarlo_csv(tmp_path / "mc.csv", summary).read_text().splitlines()
+    labels = [int(row.split(",")[0]) for row in lines[1:]]
+    assert labels == [i for i in range(30) if i not in failed]
+    assert [float(row.split(",")[2]) for row in lines[1:]] == pytest.approx(summary.pv_waves)

@@ -212,6 +212,56 @@ def test_montecarlo_records_failures_without_aborting(sh5):
         assert isinstance(message, str) and message
 
 
+def _reference_trial_pvs(truth, spec, method, carrier, mask, crop, noise_sigma, trials, seed):
+    """Per-trial P-V the slow way: one generate_stack call per trial."""
+    reference = truth.values if method == "spatial" else truth.values + carrier.phase_field(truth.shape)
+    reference = p.PhaseMap(p.wrap(reference), wrapped=True)
+    pvs = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        schedule_seed, noise_seed = child.spawn(2)
+        schedule = p.make_error_schedule("uniform", 5, 0.3, nominal_step=spec.nominal_step,
+                                         seed=schedule_seed)
+        stack = p.generate_stack(truth, 128.0, 100.0, spec.nominal_step, 5, errors=schedule,
+                                 carrier=carrier, noise_sigma=noise_sigma, seed=noise_seed)
+        if method == "spatial":
+            phase, _, _ = p.demodulate_spatial(stack, spec, carrier=carrier, mask=mask)
+        else:
+            phase, _ = p.field_phase(p.demodulate_temporal(stack, spec))
+        _, report = p.remove_piston_tilt(p.wrapped_diff(phase, reference), crop=crop)
+        pvs.append(report.pv)
+    return pvs
+
+
+@pytest.mark.parametrize("method", ["temporal", "spatial"])
+def test_montecarlo_basis_reuse_matches_per_trial_synthesis(sh5, method):
+    truth = p.synthesize_wavefront("defocus", 3.0, (64, 64))
+    carrier = p.CarrierSpec(np.pi / 4)
+    mask = p.SpectralMask(np.pi / 8, border_crop=8)
+    crop = 8 if method == "spatial" else 0
+    summary = p.montecarlo_repeatability(
+        truth, sh5, method=method, carrier=carrier, mask=mask, error_kind="uniform",
+        error_magnitude=0.3, trials=6, seed=17, noise_sigma=0.5, crop=crop,
+    )
+    assert summary.n_failed == 0
+    expected = _reference_trial_pvs(truth, sh5, method, carrier, mask, crop, 0.5, 6, 17)
+    assert np.abs(np.array(summary.pv_waves) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("u0", [0.25, 0.5])
+def test_montecarlo_carrier_below_slope_fails_every_trial(sh5, u0):
+    # a tilt of exactly 0.5 rad/px: the carrier sits below or at the slope
+    truth = p.synthesize_wavefront("tilt", 31.5, (64, 64))
+    carrier = p.CarrierSpec(u0)
+    with pytest.raises(RefusalError) as refused:
+        p.generate_stack(truth, 128.0, 100.0, sh5.nominal_step, 5, carrier=carrier)
+    summary = p.montecarlo_repeatability(
+        truth, sh5, method="spatial", carrier=carrier, trials=4, seed=2, crop=0
+    )
+    assert summary.pv_waves == () and summary.leak_ratios == ()
+    assert summary.failures == tuple((i, str(refused.value)) for i in range(4))
+    assert "slope" in str(refused.value)
+
+
 def test_montecarlo_validation(sh5, defocus_truth):
     with pytest.raises(ValueError):
         p.montecarlo_repeatability(defocus_truth, sh5, trials=1)

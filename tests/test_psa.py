@@ -180,3 +180,14 @@ def test_field_phase_validity_mask():
     assert phase.values[1, 2] == 0.0
     assert valid.sum() == 15
     assert np.allclose(phase.values[valid], 0.0, atol=1e-15)
+
+
+def test_demodulate_temporal_matches_complex_contraction(defocus_truth):
+    # zero-placed taps at a generic step are complex
+    spec = p.taps_from_zeros([0.0, 0.3, np.pi / 2], np.pi / 3)
+    assert np.iscomplexobj(spec.coefficients)
+    schedule = p.ErrorSchedule([0.0, 0.1, -0.15, 0.2])
+    stack = p.generate_stack(defocus_truth, 128.0, 100.0, np.pi / 3, 4, errors=schedule)
+    expected = np.tensordot(spec.combined_taps(), stack.frames.astype(complex), axes=1)
+    got = p.demodulate_temporal(stack, spec).values
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
