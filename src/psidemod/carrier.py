@@ -42,6 +42,30 @@ def _freq_radius(shape):
     return rho
 
 
+@functools.lru_cache(maxsize=8)
+def _disc(shape, radius):
+    """FFT bins with radial frequency <= ``radius`` rad/px, and how many there
+    are; cached per shape and radius, read-only."""
+    inside = _freq_radius(shape) <= radius
+    inside.setflags(write=False)
+    return inside, int(inside.sum())
+
+
+def _keep_disc(spectrum: np.ndarray, cutoff: float) -> ComplexField:
+    """Zero the bins of ``spectrum`` outside the cutoff disc, in place, and
+    transform back.  Warns when the disc admits only the DC bin, since the
+    filtered phase is then constant."""
+    inside, count = _disc(spectrum.shape, cutoff)
+    if count <= 1:
+        warnings.warn(
+            f"cutoff {cutoff:.6g} rad/px admits only the DC bin on a "
+            f"{spectrum.shape[0]}x{spectrum.shape[1]} grid; the filtered phase is constant",
+            stacklevel=3,
+        )
+    spectrum[~inside] = 0.0
+    return ComplexField(np.fft.ifft2(spectrum))
+
+
 @dataclass(frozen=True)
 class SpectralMask:
     """Ideal low-pass disc of radius ``cutoff`` rad/px plus a border crop.
@@ -95,16 +119,7 @@ def lowpass(field: ComplexField, mask: SpectralMask) -> ComplexField:
     round-off.  Warns when the disc admits only the DC bin, since the
     filtered phase is then constant.
     """
-    keep = _freq_radius(field.shape) <= mask.cutoff
-    if int(keep.sum()) <= 1:
-        warnings.warn(
-            f"cutoff {mask.cutoff:.6g} rad/px admits only the DC bin on a "
-            f"{field.height}x{field.width} grid; the filtered phase is constant",
-            stacklevel=2,
-        )
-    spectrum = np.fft.fft2(field.values)
-    spectrum[~keep] = 0.0
-    return ComplexField(np.fft.ifft2(spectrum))
+    return _keep_disc(np.fft.fft2(field.values), mask.cutoff)
 
 
 def estimate_carrier(field: ComplexField, exclusion_radius: float = 2.0) -> CarrierSpec:
@@ -282,7 +297,7 @@ def spatial_from_temporal(
     magnitude = np.abs(spectrum)
     rho = _freq_radius(centered.shape)
 
-    in_band = rho <= carrier.magnitude
+    in_band, _ = _disc(centered.shape, carrier.magnitude)
     peak = float(magnitude[in_band].max())
     if peak == 0.0:
         raise DegeneracyError("demodulated field has an empty spectrum")
@@ -302,16 +317,12 @@ def spatial_from_temporal(
             f"cutoff {mask.cutoff:.6g} rad/px; shrink the cutoff or raise the carrier"
         )
 
-    admitted = rho <= mask.cutoff
+    admitted, _ = _disc(centered.shape, mask.cutoff)
     total_energy = float(np.sum(magnitude**2))
     out_band = admitted & (rho > bandwidth)
     out_of_band = float(np.sum(magnitude[out_band] ** 2) / total_energy)
 
-    if apply_filter:
-        spectrum[~admitted] = 0.0
-        filtered = ComplexField(np.fft.ifft2(spectrum))
-    else:
-        filtered = centered
+    filtered = _keep_disc(spectrum, mask.cutoff) if apply_filter else centered
 
     phase, valid = field_phase(filtered, min_modulus_ratio)
     diagnostics = SpatialDiagnostics(

@@ -7,6 +7,11 @@ study) and ``replay`` (re-run a recorded manifest).  Every run writes a
 ``manifest.json`` echoing the fully resolved parameter set, excluding only
 the output directory, so ``replay`` reproduces the outputs byte for byte.
 
+Each parameter is declared once, in :data:`PARAMETERS`: flag ``--x-y`` is
+the manifest and ``--config`` key ``x_y``.  Values resolve as command
+default, then preset, then config file, then the flags actually given, so a
+flag that parses to ``None`` (``--carrier none``) still overrides.
+
 Exit codes: 0 success, 2 precondition refusal or bad parameters,
 3 numerical degeneracy, 4 I/O failure.
 """
@@ -23,8 +28,10 @@ import numpy as np
 
 from .carrier import SpectralMask, remove_carrier, spatial_from_temporal
 from .conjugate import ConjugatePair, predicted_error_map
-from .errors import DegeneracyError, RefusalError
+from .errors import DegeneracyError
 from .fields import (
+    TWO_PI,
+    WAVEFRONT_KINDS,
     CarrierSpec,
     ErrorSchedule,
     PhaseMap,
@@ -54,8 +61,6 @@ EXIT_OK = 0
 EXIT_REFUSED = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
-
-TWO_PI = 2.0 * np.pi
 
 
 def parse_angle(text) -> float:
@@ -95,8 +100,6 @@ def parse_carrier(text):
 
 def parse_demod_carrier(text):
     """Like parse_carrier, but 'auto' and 'estimate' pass through."""
-    if text is None:
-        return None
     s = str(text).strip().lower()
     if s in ("auto", "estimate"):
         return s
@@ -150,15 +153,21 @@ def _build_psa(params) -> PsaSpec:
     name = params["psa"]
     if name == "sh5":
         return sh5_spec()
-    if name == "taps":
-        if params["taps"] is None or params["psa_step"] is None:
-            raise ValueError("psa 'taps' requires --taps and --psa-step")
-        return PsaSpec(np.asarray(params["taps"], dtype=np.float64), float(params["psa_step"]))
-    if name == "zeros":
-        if params["zeros"] is None or params["psa_step"] is None:
-            raise ValueError("psa 'zeros' requires --zeros and --psa-step")
-        return taps_from_zeros(np.asarray(params["zeros"], dtype=np.float64), float(params["psa_step"]))
-    raise ValueError(f"unknown psa {name!r}, expected 'sh5', 'taps' or 'zeros'")
+    if name not in ("taps", "zeros"):
+        raise ValueError(f"unknown psa {name!r}, expected 'sh5', 'taps' or 'zeros'")
+    if params[name] is None or params["psa_step"] is None:
+        raise ValueError(f"psa {name!r} requires --{name} and --psa-step")
+    values = np.asarray(params[name], dtype=np.float64)
+    build = PsaSpec if name == "taps" else taps_from_zeros
+    return build(values, float(params["psa_step"]))
+
+
+def _build_mask(params) -> SpectralMask | None:
+    if params["cutoff"] is not None:
+        return SpectralMask(float(params["cutoff"]), params["border_crop"])
+    if params["border_crop"] is not None:
+        raise ValueError("border_crop without cutoff is ambiguous; give both")
+    return None
 
 
 def _build_truth(params) -> PhaseMap:
@@ -193,89 +202,80 @@ def _synthesize_stack(params):
         noise_sigma=float(params["noise_sigma"]),
         seed=params["seed"],
     )
-    return stack, truth, carrier
+    return stack, truth
 
 
-_SYNTH_DEFAULTS = {
-    "width": 256,
-    "height": 256,
+_SWITCH = {"action": argparse.BooleanOptionalAction}
+
+# One row per parameter: its default and the keyword arguments of its flag.
+PARAMETERS = {
+    # synthesis
+    "width": (256, {"type": int}),
+    "height": (256, {"type": int}),
+    "wavefront": ("defocus", {"choices": WAVEFRONT_KINDS}),
+    "amplitude": (3.0, {"type": float, "help": "peak-to-valley in radians"}),
+    "coefficients": (None, {"type": parse_coefficients, "help": "JSON nested list for polynomial"}),
+    "background": (128.0, {"type": float, "help": "fringe background a"}),
+    "contrast": (100.0, {"type": float, "help": "fringe contrast b"}),
+    "omega0": (float(np.pi / 2), {"type": parse_angle, "help": "nominal step, e.g. pi/2"}),
+    "frames": (5, {"type": int}),
+    "errors": ("zero", {"help": "zero | uniform:D | gaussian:S | quadratic-pzt:K | fixed:e0,e1,..."}),
+    "error_seed": (0, {"type": int}),
+    "carrier": (None, {"type": parse_carrier, "help": "synthesis carrier, 'none' or 'u0[,v0]' in rad/px"}),
+    "noise_sigma": (0.0, {"type": float}),
+    "seed": (0, {"type": int}),
+    # algorithm
+    "psa": ("sh5", {"choices": ("sh5", "taps", "zeros")}),
+    "taps": (None, {"type": parse_float_list, "help": "comma-separated tap coefficients"}),
+    "psa_step": (None, {"type": parse_angle, "help": "nominal step of --taps/--zeros"}),
+    "zeros": (None, {"type": parse_angle_list, "help": "comma-separated FTF zero locations"}),
+    # spectral mask
+    "cutoff": (None, {"type": parse_angle, "help": "low-pass cutoff in rad/px"}),
+    "border_crop": (None, {"type": int}),
+    # simulate
+    "stem": ("stack", {"help": "frame-file stem"}),
+    "preview": (False, _SWITCH),
+    "artifact_leak": (None, {"type": float, "help": "export the error map a leak ratio r would imprint"}),
+    # demod
+    "stack": (None, {"help": "stack sidecar JSON; omit to synthesize"}),
+    "method": ("temporal", {"choices": ("temporal", "spatial")}),
+    "demod_carrier": ("auto", {"type": parse_demod_carrier,
+                               "help": "'auto' (metadata else estimate), 'estimate', or 'u0[,v0]'"}),
+    "filter": (True, {**_SWITCH, "help": "--no-filter keeps the conjugate lobe (diagnostics)"}),
+    "export_spectrum": (False, _SWITCH),
+    "line_cut_row": (None, {"type": int}),
+    "compare_truth": (False, {**_SWITCH, "help": "report residual vs the synthesized truth"}),
+    # ftf
+    "samples": (1024, {"type": int}),
+    # compare and montecarlo
+    "phase1": (None, {"help": "first phase-map JSON"}),
+    "phase2": (None, {"help": "second phase-map JSON"}),
+    "crop": (None, {"type": int}),
+    "tilt": (True, _SWITCH),
+    "gain": (10.0, {"type": float, "help": "display gain for the PGM export"}),
+    "pgm": (False, _SWITCH),
+    "trials": (50, {"type": int}),
+}
+
+_GRID = ("width", "height", "wavefront", "amplitude", "coefficients")
+_SYNTH = _GRID + ("background", "contrast", "omega0", "frames", "errors", "error_seed", "carrier",
+                  "noise_sigma", "seed")
+_PSA = ("psa", "taps", "psa_step", "zeros")
+_MASK = ("cutoff", "border_crop")
+
+# temporal-only demodulation of a detuned 5-step run: the conjugate lobe
+# and the double-frequency ripple are left in plain view
+_FIG8 = {
+    "width": 512,
+    "height": 512,
     "wavefront": "defocus",
     "amplitude": 3.0,
-    "coefficients": None,
-    "background": 128.0,
-    "contrast": 100.0,
-    "omega0": float(np.pi / 2),
-    "frames": 5,
-    "errors": "zero",
-    "error_seed": 0,
-    "carrier": None,
-    "noise_sigma": 0.0,
-    "seed": 0,
-}
-
-SIMULATE_DEFAULTS = {
-    **_SYNTH_DEFAULTS,
-    "stem": "stack",
-    "preview": False,
-    "artifact_leak": None,
-    "line_cut_row": None,
-}
-
-DEMOD_DEFAULTS = {
-    **_SYNTH_DEFAULTS,
-    "stack": None,
-    "psa": "sh5",
-    "taps": None,
-    "psa_step": None,
-    "zeros": None,
+    "carrier": [float(np.pi / 4), 0.0],
+    "errors": "fixed:0,0.1,-0.15,0.2,-0.05",
     "method": "temporal",
-    "demod_carrier": "auto",
-    "cutoff": None,
-    "border_crop": None,
-    "filter": True,
-    "export_spectrum": False,
-    "line_cut_row": None,
-    "compare_truth": False,
-}
-
-FTF_DEFAULTS = {
-    "psa": "sh5",
-    "taps": None,
-    "psa_step": None,
-    "zeros": None,
-    "samples": 1024,
-}
-
-COMPARE_DEFAULTS = {
-    "phase1": None,
-    "phase2": None,
-    "crop": 0,
-    "tilt": True,
-    "gain": 10.0,
-    "pgm": False,
-}
-
-MONTECARLO_DEFAULTS = {
-    "width": 256,
-    "height": 256,
-    "wavefront": "defocus",
-    "amplitude": 3.0,
-    "coefficients": None,
-    "psa": "sh5",
-    "taps": None,
-    "psa_step": None,
-    "zeros": None,
-    "method": "temporal",
-    "carrier": None,
-    "cutoff": None,
-    "border_crop": None,
-    "errors": "uniform:0.3",
-    "trials": 50,
-    "seed": 0,
-    "background": 128.0,
-    "contrast": 100.0,
-    "noise_sigma": 0.0,
-    "crop": None,
+    "export_spectrum": True,
+    "line_cut_row": 256,
+    "compare_truth": True,
 }
 
 PRESETS = {
@@ -293,81 +293,49 @@ PRESETS = {
         },
     },
     "demod": {
-        # temporal-only demodulation of a detuned 5-step run: the conjugate
-        # lobe and the double-frequency ripple are left in plain view
-        "fig8": {
-            "width": 512,
-            "height": 512,
-            "wavefront": "defocus",
-            "amplitude": 3.0,
-            "carrier": [float(np.pi / 4), 0.0],
-            "errors": "fixed:0,0.1,-0.15,0.2,-0.05",
-            "method": "temporal",
-            "export_spectrum": True,
-            "line_cut_row": 256,
-            "compare_truth": True,
-        },
+        "fig8": _FIG8,
         # same stack through carrier removal and the low-pass mask: the
         # ripple is gone without ever estimating the step errors
-        "fig9": {
-            "width": 512,
-            "height": 512,
-            "wavefront": "defocus",
-            "amplitude": 3.0,
-            "carrier": [float(np.pi / 4), 0.0],
-            "errors": "fixed:0,0.1,-0.15,0.2,-0.05",
-            "method": "spatial",
-            "cutoff": float(np.pi / 8),
-            "export_spectrum": True,
-            "line_cut_row": 256,
-            "compare_truth": True,
-        },
+        "fig9": {**_FIG8, "method": "spatial", "cutoff": float(np.pi / 8)},
     },
     "ftf": {
         "fig2": {"psa": "sh5", "samples": 1024},
     },
-    "compare": {},
-    "montecarlo": {},
 }
 
 
-def _resolve_params(command: str, defaults: dict, args) -> dict:
-    params = dict(defaults)
-    preset = getattr(args, "preset", None)
-    if preset is not None:
-        table = PRESETS.get(command, {})
-        if preset not in table:
-            raise ValueError(f"unknown {command} preset {preset!r}, expected one of {sorted(table)}")
-        params.update(table[preset])
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        config = load_json(config_path)
-        unknown = set(config) - set(defaults)
-        if unknown:
-            raise ValueError(f"config file has unknown {command} parameters: {sorted(unknown)}")
-        params.update(config)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
+def _merge(command: str, params: dict, given: dict, source: str) -> dict:
+    unknown = set(given) - set(DEFAULTS[command])
+    if unknown:
+        raise ValueError(f"{source} has unknown {command} parameters: {sorted(unknown)}")
+    params.update(given)
     return params
 
 
-def _write_manifest(out: Path, command: str, params: dict) -> None:
-    dump_json(out / "manifest.json", {"command": command, "parameters": params})
+def _resolve_params(command: str, args) -> dict:
+    """Defaults, then the preset, the config file and the flags actually given."""
+    flags = dict(vars(args))
+    del flags["command"], flags["out"]
+    params = dict(DEFAULTS[command])
+    preset = flags.pop("preset", None)
+    if preset is not None:
+        params.update(PRESETS[command][preset])
+    config_path = flags.pop("config", None)
+    if config_path is not None:
+        _merge(command, params, load_json(config_path), "config file")
+    return _merge(command, params, flags, "flags")
 
 
-def _preview_pgm(path: Path, frame: np.ndarray) -> None:
-    display = np.clip(np.round(frame), 0, 255).astype(np.uint8)
-    write_pgm(path, display)
+def _write_gray(path: Path, values: np.ndarray) -> None:
+    write_pgm(path, np.clip(np.round(values), 0, 255).astype(np.uint8))
 
 
-def _run_simulate(params: dict, out: Path) -> int:
-    stack, truth, _ = _synthesize_stack(params)
+def _run_simulate(params: dict, out: Path) -> None:
+    stack, truth = _synthesize_stack(params)
     save_stack(out, stack, params["stem"])
     save_phase_map(out / "truth", truth)
     if params["preview"]:
-        _preview_pgm(out / "frame_000.pgm", stack.frames[0])
+        _write_gray(out / "frame_000.pgm", stack.frames[0])
     if params["artifact_leak"] is not None:
         leak = float(params["artifact_leak"])
         pair = ConjugatePair(1.0 + 0.0j, leak + 0.0j)
@@ -382,16 +350,14 @@ def _run_simulate(params: dict, out: Path) -> int:
                     "predicted_error": error_map.values[row],
                 },
             )
-    _write_manifest(out, "simulate", params)
-    return EXIT_OK
 
 
-def _run_demod(params: dict, out: Path) -> int:
+def _run_demod(params: dict, out: Path) -> None:
     if params["stack"] is not None:
         stack = load_stack(params["stack"])
         truth = None
     else:
-        stack, truth, _ = _synthesize_stack(params)
+        stack, truth = _synthesize_stack(params)
         save_stack(out, stack, "stack")
         save_phase_map(out / "truth", truth)
 
@@ -401,6 +367,7 @@ def _run_demod(params: dict, out: Path) -> int:
         export_spectrum(out / "spectrum", temporal)
 
     method = params["method"]
+    reference = None if truth is None else truth.values
     if method == "temporal":
         phase, valid = field_phase(temporal)
         field = temporal
@@ -409,41 +376,31 @@ def _run_demod(params: dict, out: Path) -> int:
             "invalid_pixels": int(valid.size - valid.sum()),
         }
         crop = 0
-        reference = None
-        if truth is not None:
-            reference_values = truth.values
-            carrier = _carrier_from_value(params["carrier"])
-            if carrier is not None:
-                reference_values = reference_values + carrier.phase_field(truth.shape)
-            reference = PhaseMap(wrap(reference_values), wrapped=True)
-        cut_columns = {"phase": None}
+        carrier = _carrier_from_value(params["carrier"])
+        if reference is not None and carrier is not None:
+            # the temporal phase still carries the synthesis carrier
+            reference = reference + carrier.phase_field(truth.shape)
+        cut_columns = {"phase": phase}
     elif method == "spatial":
         carrier_request = params["demod_carrier"]
-        carrier_arg = None
-        metadata_carrier = None if carrier_request == "estimate" else stack.metadata.carrier
-        if carrier_request not in ("auto", "estimate"):
-            if carrier_request is None:
-                raise ValueError("demod carrier must be 'auto', 'estimate' or 'u0[,v0]'")
-            carrier_arg = CarrierSpec(float(carrier_request[0]), float(carrier_request[1]))
-        mask = None
-        if params["cutoff"] is not None:
-            mask = SpectralMask(float(params["cutoff"]), params["border_crop"])
-        elif params["border_crop"] is not None:
-            raise ValueError("border_crop without cutoff is ambiguous; give both")
+        if carrier_request is None:
+            raise ValueError("demod carrier must be 'auto', 'estimate' or 'u0[,v0]'")
+        named = carrier_request not in ("auto", "estimate")
         phase, field, diag = spatial_from_temporal(
             temporal,
-            carrier=carrier_arg,
-            metadata_carrier=metadata_carrier,
-            mask=mask,
+            carrier=_carrier_from_value(carrier_request) if named else None,
+            metadata_carrier=None if carrier_request == "estimate" else stack.metadata.carrier,
+            mask=_build_mask(params),
             apply_filter=params["filter"],
         )
         diagnostics = {"method": "spatial", **diag.to_dict()}
         crop = diag.mask.border_crop
-        reference = None if truth is None else PhaseMap(wrap(truth.values), wrapped=True)
         unfiltered_phase, _ = field_phase(remove_carrier(temporal, diag.carrier))
-        cut_columns = {"filtered": None, "unfiltered": unfiltered_phase}
+        cut_columns = {"filtered": phase, "unfiltered": unfiltered_phase}
     else:
         raise ValueError(f"unknown method {method!r}, expected 'temporal' or 'spatial'")
+    if reference is not None:
+        reference = PhaseMap(wrap(reference), wrapped=True)
 
     save_phase_map(out / "phase", phase)
     save_complex_field(out / "field", field)
@@ -453,9 +410,7 @@ def _run_demod(params: dict, out: Path) -> int:
         row = int(params["line_cut_row"])
         if not 0 <= row < phase.height:
             raise ValueError(f"line-cut row {row} outside a {phase.height}-row map")
-        columns = {}
-        for name, override in cut_columns.items():
-            columns[name] = phase.values[row] if override is None else override.values[row]
+        columns = {name: column.values[row] for name, column in cut_columns.items()}
         if reference is not None:
             columns["reference"] = reference.values[row]
             columns["error"] = wrap(phase.values[row] - reference.values[row])
@@ -469,11 +424,8 @@ def _run_demod(params: dict, out: Path) -> int:
         save_phase_map(out / "residual", residual)
         dump_json(out / "report.json", {"method": method, **report.to_dict()})
 
-    _write_manifest(out, "demod", params)
-    return EXIT_OK
 
-
-def _run_ftf(params: dict, out: Path) -> int:
+def _run_ftf(params: dict, out: Path) -> None:
     spec = _build_psa(params)
     omegas, values = ftf_sweep(spec, int(params["samples"]))
     write_ftf_csv(out / "ftf.csv", omegas, values)
@@ -488,11 +440,9 @@ def _run_ftf(params: dict, out: Path) -> int:
             "passband_gain": abs(passband),
         },
     )
-    _write_manifest(out, "ftf", params)
-    return EXIT_OK
 
 
-def _run_compare(params: dict, out: Path) -> int:
+def _run_compare(params: dict, out: Path) -> None:
     if params["phase1"] is None or params["phase2"] is None:
         raise ValueError("compare requires --phase1 and --phase2")
     first = load_phase_map(params["phase1"])
@@ -503,23 +453,14 @@ def _run_compare(params: dict, out: Path) -> int:
     dump_json(out / "report.json", report.to_dict())
     if params["pgm"]:
         gain = float(params["gain"])
-        display = np.clip(
-            np.round((residual.values * gain + np.pi) / TWO_PI * 255), 0, 255
-        ).astype(np.uint8)
-        write_pgm(out / "residual.pgm", display)
-    _write_manifest(out, "compare", params)
-    return EXIT_OK
+        _write_gray(out / "residual.pgm", (residual.values * gain + np.pi) / TWO_PI * 255)
 
 
-def _run_montecarlo(params: dict, out: Path) -> int:
+def _run_montecarlo(params: dict, out: Path) -> None:
     truth = _build_truth(params)
     spec = _build_psa(params)
     carrier = _carrier_from_value(params["carrier"])
-    mask = None
-    if params["cutoff"] is not None:
-        mask = SpectralMask(float(params["cutoff"]), params["border_crop"])
-    elif params["border_crop"] is not None:
-        raise ValueError("border_crop without cutoff is ambiguous; give both")
+    mask = _build_mask(params)
     kind, magnitude = _error_family(params["errors"])
     summary = montecarlo_repeatability(
         truth,
@@ -538,63 +479,47 @@ def _run_montecarlo(params: dict, out: Path) -> int:
     )
     dump_json(out / "summary.json", summary.to_dict())
     write_montecarlo_csv(out / "trials.csv", summary)
-    _write_manifest(out, "montecarlo", params)
-    return EXIT_OK
 
 
-RUNNERS = {
-    "simulate": (SIMULATE_DEFAULTS, _run_simulate),
-    "demod": (DEMOD_DEFAULTS, _run_demod),
-    "ftf": (FTF_DEFAULTS, _run_ftf),
-    "compare": (COMPARE_DEFAULTS, _run_compare),
-    "montecarlo": (MONTECARLO_DEFAULTS, _run_montecarlo),
+# command -> help, runner, its parameters, and the defaults that differ from the table
+COMMANDS = {
+    "simulate": ("synthesize an interferogram stack", _run_simulate,
+                 _SYNTH + ("stem", "preview", "artifact_leak", "line_cut_row"), {}),
+    "demod": ("demodulate a stack (file or synthesized)", _run_demod,
+              _SYNTH + ("stack",) + _PSA + ("method", "demod_carrier") + _MASK
+              + ("filter", "export_spectrum", "line_cut_row", "compare_truth"), {}),
+    "ftf": ("sweep an algorithm's frequency transfer function", _run_ftf,
+            _PSA + ("samples",), {}),
+    "compare": ("difference two phase maps", _run_compare,
+                ("phase1", "phase2", "crop", "tilt", "gain", "pgm"), {"crop": 0}),
+    "montecarlo": ("repeatability study over random error schedules", _run_montecarlo,
+                   _GRID + _PSA + ("method", "carrier") + _MASK
+                   + ("errors", "trials", "seed", "background", "contrast", "noise_sigma", "crop"),
+                   {"errors": "uniform:0.3"}),
+}
+
+DEFAULTS = {
+    command: {**{name: PARAMETERS[name][0] for name in names}, **changed}
+    for command, (_, _, names, changed) in COMMANDS.items()
 }
 
 
 def _run_replay(args) -> int:
     manifest = load_json(args.manifest)
     command = manifest.get("command")
-    if command not in RUNNERS:
+    if command not in COMMANDS:
         raise ValueError(f"manifest names unknown command {command!r}")
-    defaults, runner = RUNNERS[command]
-    params = manifest.get("parameters", {})
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ValueError(f"manifest has unknown {command} parameters: {sorted(unknown)}")
-    merged = {**defaults, **params}
-    out = Path(args.out)
+    params = _merge(command, dict(DEFAULTS[command]), manifest.get("parameters", {}), "manifest")
+    return _execute(command, params, Path(args.out))
+
+
+def _execute(command: str, params: dict, out: Path) -> int:
+    """Run one command into ``out`` and record its manifest last."""
     out.mkdir(parents=True, exist_ok=True)
-    return runner(merged, out)
-
-
-def _add_common(sub, command):
-    sub.add_argument("--out", required=True, help="output directory (created if needed)")
-    sub.add_argument("--config", default=None, help="JSON file of parameter overrides")
-    if PRESETS.get(command):
-        sub.add_argument("--preset", default=None, choices=sorted(PRESETS[command]))
-
-
-def _add_synth_flags(sub):
-    sub.add_argument("--width", type=int)
-    sub.add_argument("--height", type=int)
-    sub.add_argument("--wavefront", choices=("flat", "tilt", "defocus", "astigmatism", "polynomial"))
-    sub.add_argument("--amplitude", type=float, help="peak-to-valley in radians")
-    sub.add_argument("--coefficients", type=parse_coefficients, help="JSON nested list for polynomial")
-    sub.add_argument("--background", type=float, help="fringe background a")
-    sub.add_argument("--contrast", type=float, help="fringe contrast b")
-    sub.add_argument("--omega0", type=parse_angle, help="nominal step, e.g. pi/2")
-    sub.add_argument("--frames", type=int)
-    sub.add_argument("--errors", help="zero | uniform:D | gaussian:S | quadratic-pzt:K | fixed:e0,e1,...")
-    sub.add_argument("--error-seed", dest="error_seed", type=int)
-    sub.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    sub.add_argument("--seed", type=int)
-
-
-def _add_psa_flags(sub):
-    sub.add_argument("--psa", choices=("sh5", "taps", "zeros"))
-    sub.add_argument("--taps", type=parse_float_list, help="comma-separated tap coefficients")
-    sub.add_argument("--psa-step", dest="psa_step", type=parse_angle, help="nominal step of --taps/--zeros")
-    sub.add_argument("--zeros", type=parse_angle_list, help="comma-separated FTF zero locations")
+    _, runner, _, _ = COMMANDS[command]
+    runner(params, out)
+    dump_json(out / "manifest.json", {"command": command, "parameters": params})
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -603,69 +528,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Phase-shifting interferometry demodulation with spatial-carrier artifact filtering.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sim = commands.add_parser("simulate", help="synthesize an interferogram stack")
-    _add_common(sim, "simulate")
-    _add_synth_flags(sim)
-    sim.add_argument("--carrier", type=parse_carrier, help="'none' or 'u0[,v0]' in rad/px")
-    sim.add_argument("--stem", help="frame-file stem")
-    sim.add_argument("--preview", action=argparse.BooleanOptionalAction, default=None)
-    sim.add_argument("--artifact-leak", dest="artifact_leak", type=float,
-                     help="also export the error map a leak ratio r would imprint")
-    sim.add_argument("--line-cut-row", dest="line_cut_row", type=int)
-
-    dem = commands.add_parser("demod", help="demodulate a stack (file or synthesized)")
-    _add_common(dem, "demod")
-    _add_synth_flags(dem)
-    dem.add_argument("--carrier", type=parse_carrier, help="synthesis carrier, 'none' or 'u0[,v0]'")
-    dem.add_argument("--stack", help="stack sidecar JSON; omit to synthesize")
-    _add_psa_flags(dem)
-    dem.add_argument("--method", choices=("temporal", "spatial"))
-    dem.add_argument("--demod-carrier", dest="demod_carrier", type=parse_demod_carrier,
-                     help="'auto' (metadata else estimate), 'estimate', or 'u0[,v0]'")
-    dem.add_argument("--cutoff", type=parse_angle, help="low-pass cutoff in rad/px")
-    dem.add_argument("--border-crop", dest="border_crop", type=int)
-    dem.add_argument("--filter", action=argparse.BooleanOptionalAction, default=None,
-                     help="--no-filter keeps the conjugate lobe (diagnostics)")
-    dem.add_argument("--export-spectrum", dest="export_spectrum", action=argparse.BooleanOptionalAction,
-                     default=None)
-    dem.add_argument("--line-cut-row", dest="line_cut_row", type=int)
-    dem.add_argument("--compare-truth", dest="compare_truth", action=argparse.BooleanOptionalAction,
-                     default=None, help="report residual vs the synthesized truth")
-
-    ftf = commands.add_parser("ftf", help="sweep an algorithm's frequency transfer function")
-    _add_common(ftf, "ftf")
-    _add_psa_flags(ftf)
-    ftf.add_argument("--samples", type=int)
-
-    cmp_ = commands.add_parser("compare", help="difference two phase maps")
-    _add_common(cmp_, "compare")
-    cmp_.add_argument("--phase1", help="first phase-map JSON")
-    cmp_.add_argument("--phase2", help="second phase-map JSON")
-    cmp_.add_argument("--crop", type=int)
-    cmp_.add_argument("--tilt", action=argparse.BooleanOptionalAction, default=None)
-    cmp_.add_argument("--gain", type=float, help="display gain for the PGM export")
-    cmp_.add_argument("--pgm", action=argparse.BooleanOptionalAction, default=None)
-
-    mc = commands.add_parser("montecarlo", help="repeatability study over random error schedules")
-    _add_common(mc, "montecarlo")
-    mc.add_argument("--width", type=int)
-    mc.add_argument("--height", type=int)
-    mc.add_argument("--wavefront", choices=("flat", "tilt", "defocus", "astigmatism", "polynomial"))
-    mc.add_argument("--amplitude", type=float)
-    mc.add_argument("--coefficients", type=parse_coefficients)
-    _add_psa_flags(mc)
-    mc.add_argument("--method", choices=("temporal", "spatial"))
-    mc.add_argument("--carrier", type=parse_carrier)
-    mc.add_argument("--cutoff", type=parse_angle)
-    mc.add_argument("--border-crop", dest="border_crop", type=int)
-    mc.add_argument("--errors", help="random family, e.g. uniform:0.3")
-    mc.add_argument("--trials", type=int)
-    mc.add_argument("--seed", type=int)
-    mc.add_argument("--background", type=float)
-    mc.add_argument("--contrast", type=float)
-    mc.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    mc.add_argument("--crop", type=int)
+    for command, (help_text, _, names, _) in COMMANDS.items():
+        # unset flags stay out of the namespace, so any given value overrides
+        sub = commands.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        sub.add_argument("--out", required=True, help="output directory (created if needed)")
+        sub.add_argument("--config", help="JSON file of parameter overrides")
+        if command in PRESETS:
+            sub.add_argument("--preset", choices=sorted(PRESETS[command]))
+        for name in names:
+            sub.add_argument("--" + name.replace("_", "-"), dest=name, **PARAMETERS[name][1])
 
     rep = commands.add_parser("replay", help="re-run a recorded manifest byte for byte")
     rep.add_argument("manifest", help="manifest.json from a previous run")
@@ -683,18 +554,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "replay":
             return _run_replay(args)
-        defaults, runner = RUNNERS[args.command]
-        params = _resolve_params(args.command, defaults, args)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        return runner(params, out)
-    except RefusalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
+        return _execute(args.command, _resolve_params(args.command, args), Path(args.out))
     except DegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except ValueError as exc:
+    except ValueError as exc:  # RefusalError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except OSError as exc:

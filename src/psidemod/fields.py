@@ -55,8 +55,34 @@ def _freeze(obj, name, array):
     object.__setattr__(obj, name, array)
 
 
+def _grid(values, dtype, what) -> np.ndarray:
+    """A private copy of ``values``: 2D, at least 2x2, finite."""
+    v = np.array(values, dtype=dtype, copy=True)
+    if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 2:
+        raise ValueError(f"{what} must be at least 2x2, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} contains non-finite values")
+    return v
+
+
+class _Grid:
+    """Row-major grid properties of a 2D ``values`` array."""
+
+    @property
+    def height(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def shape(self):
+        return self.values.shape
+
+
 @dataclass(frozen=True)
-class PhaseMap:
+class PhaseMap(_Grid):
     """A 2D phase field in radians, row-major, at least 2x2.
 
     ``wrapped=True`` constrains every value to [-pi, pi); unwrapped maps
@@ -67,54 +93,21 @@ class PhaseMap:
     wrapped: bool = False
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64, copy=True)
-        if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 2:
-            raise ValueError(f"phase map must be at least 2x2, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("phase map contains non-finite values")
+        v = _grid(self.values, np.float64, "phase map")
         # slack of a few float32 ULP so re-imported .f32 maps stay valid
         if self.wrapped and (v.min() < -np.pi - 1e-6 or v.max() >= np.pi + 1e-6):
             raise ValueError("wrapped phase map has values outside [-pi, pi)")
         _freeze(self, "values", v)
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def shape(self):
-        return self.values.shape
-
 
 @dataclass(frozen=True)
-class ComplexField:
+class ComplexField(_Grid):
     """A 2D complex-valued field, same grid conventions as PhaseMap."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.complex128, copy=True)
-        if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 2:
-            raise ValueError(f"complex field must be at least 2x2, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("complex field contains non-finite values")
-        _freeze(self, "values", v)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def shape(self):
-        return self.values.shape
+        _freeze(self, "values", _grid(self.values, np.complex128, "complex field"))
 
 
 @dataclass(frozen=True)

@@ -42,39 +42,42 @@ def write_f32(path, values) -> Path:
 
 
 def read_f32(path, shape) -> np.ndarray:
+    return _read_raw(path, shape, np.dtype("<f4"))
+
+
+def _read_raw(path, shape, dtype: np.dtype) -> np.ndarray:
     path = Path(path)
     expected = int(np.prod(shape))
-    data = np.fromfile(path, dtype="<f4")
+    data = np.fromfile(path, dtype=dtype)
     if data.size != expected:
-        raise ValueError(f"{path} holds {data.size} float32 values, expected {expected}")
+        raise ValueError(f"{path} holds {data.size} {dtype.name} values, expected {expected}")
     return data.reshape(shape)
+
+
+def _dump_sidecar(stem: Path, kind: str, grid, **extra) -> Path:
+    """Write ``stem.json`` describing a raw grid file of the given kind."""
+    payload = {"kind": kind, "width": grid.width, "height": grid.height, **extra}
+    return dump_json(stem.with_suffix(".json"), payload)
+
+
+def _load_sidecar(path, kind: str, what: str):
+    """The sidecar path and contents for ``path`` (sidecar or raw file)."""
+    path = Path(path)
+    sidecar = path if path.suffix == ".json" else path.with_suffix(".json")
+    meta = load_json(sidecar)
+    if meta.get("kind") != kind:
+        raise ValueError(f"{sidecar} does not describe {what}")
+    return sidecar, meta
 
 
 def save_phase_map(stem, phase_map: PhaseMap) -> list[Path]:
     stem = Path(stem)
     raw = write_f32(stem.with_suffix(".f32"), phase_map.values)
-    sidecar = dump_json(
-        stem.with_suffix(".json"),
-        {
-            "kind": "phase_map",
-            "width": phase_map.width,
-            "height": phase_map.height,
-            "wrapped": phase_map.wrapped,
-        },
-    )
-    return [raw, sidecar]
-
-
-def _resolve_sidecar(path) -> Path:
-    path = Path(path)
-    return path if path.suffix == ".json" else path.with_suffix(".json")
+    return [raw, _dump_sidecar(stem, "phase_map", phase_map, wrapped=phase_map.wrapped)]
 
 
 def load_phase_map(path) -> PhaseMap:
-    sidecar = _resolve_sidecar(path)
-    meta = load_json(sidecar)
-    if meta.get("kind") != "phase_map":
-        raise ValueError(f"{sidecar} does not describe a phase map")
+    sidecar, meta = _load_sidecar(path, "phase_map", "a phase map")
     values = read_f32(sidecar.with_suffix(".f32"), (meta["height"], meta["width"]))
     return PhaseMap(values.astype(np.float64), wrapped=bool(meta["wrapped"]))
 
@@ -83,24 +86,14 @@ def save_complex_field(stem, field: ComplexField) -> list[Path]:
     stem = Path(stem)
     raw = stem.with_suffix(".c64")
     np.asarray(field.values, dtype="<c8").tofile(raw)
-    sidecar = dump_json(
-        stem.with_suffix(".json"),
-        {"kind": "complex_field", "width": field.width, "height": field.height},
-    )
-    return [raw, sidecar]
+    return [raw, _dump_sidecar(stem, "complex_field", field)]
 
 
 def load_complex_field(path) -> ComplexField:
-    sidecar = _resolve_sidecar(path)
-    meta = load_json(sidecar)
-    if meta.get("kind") != "complex_field":
-        raise ValueError(f"{sidecar} does not describe a complex field")
-    raw = sidecar.with_suffix(".c64")
-    expected = int(meta["height"]) * int(meta["width"])
-    data = np.fromfile(raw, dtype="<c8")
-    if data.size != expected:
-        raise ValueError(f"{raw} holds {data.size} complex64 values, expected {expected}")
-    return ComplexField(data.reshape(int(meta["height"]), int(meta["width"])).astype(np.complex128))
+    sidecar, meta = _load_sidecar(path, "complex_field", "a complex field")
+    shape = (int(meta["height"]), int(meta["width"]))
+    data = _read_raw(sidecar.with_suffix(".c64"), shape, np.dtype("<c8"))
+    return ComplexField(data.astype(np.complex128))
 
 
 def save_stack(directory, stack: InterferogramStack, stem: str = "stack") -> list[Path]:
@@ -241,17 +234,7 @@ def export_spectrum(stem, field: ComplexField) -> list[Path]:
     else:
         log_magnitude = np.log10(np.maximum(magnitude, peak * 1e-12))
     paths = [write_f32(stem.with_suffix(".f32"), log_magnitude)]
-    paths.append(
-        dump_json(
-            stem.with_suffix(".json"),
-            {
-                "kind": "spectrum_log10",
-                "layout": "centered",
-                "width": field.width,
-                "height": field.height,
-            },
-        )
-    )
+    paths.append(_dump_sidecar(stem, "spectrum_log10", field, layout="centered"))
     span = float(log_magnitude.max() - log_magnitude.min())
     if span == 0.0:
         display = np.zeros(field.shape, dtype=np.uint8)
@@ -263,10 +246,7 @@ def export_spectrum(stem, field: ComplexField) -> list[Path]:
 
 def load_spectrum(path):
     """Read back an exported spectrum; returns (log-magnitude array, sidecar dict)."""
-    sidecar = _resolve_sidecar(path)
-    meta = load_json(sidecar)
-    if meta.get("kind") != "spectrum_log10":
-        raise ValueError(f"{sidecar} does not describe a spectrum export")
+    sidecar, meta = _load_sidecar(path, "spectrum_log10", "a spectrum export")
     values = read_f32(sidecar.with_suffix(".f32"), (meta["height"], meta["width"]))
     return values, meta
 

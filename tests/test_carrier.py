@@ -103,6 +103,15 @@ def test_lowpass_warns_when_only_dc_survives():
         p.lowpass(field, p.SpectralMask(0.1))
 
 
+def test_spatial_warns_when_only_dc_survives():
+    truth = p.PhaseMap(np.zeros((32, 32)))
+    carrier = p.CarrierSpec(2 * np.pi * 4 / 32, 0.0)
+    stack = p.generate_stack(truth, 128.0, 100.0, np.pi / 2, 5, carrier=carrier)
+    with pytest.warns(UserWarning, match="DC"):
+        phase, _, _ = p.demodulate_spatial(stack, p.sh5_spec(), mask=p.SpectralMask(0.1))
+    assert np.ptp(phase.values) == 0.0
+
+
 def test_mask_defaults_and_validation():
     mask = p.SpectralMask(np.pi / 8)
     assert mask.border_crop == 16

@@ -11,7 +11,7 @@ import psidemod as p
 from psidemod import cli
 from psidemod.formats import load_phase_map, save_stack
 
-from conftest import FIXED_SCHEDULE
+from conftest import FIXED_SCHEDULE, make_bandlimited
 
 
 def run_cli(*args):
@@ -380,15 +380,39 @@ def test_montecarlo_rejects_fixed_and_bad_trials(tmp_path):
 # --- replay ---
 
 
-def test_replay_reproduces_bytes(tmp_path):
-    out1 = tmp_path / "run"
-    code, _, err = run_cli(
-        "demod", "--out", out1,
-        "--width", 128, "--height", 128, "--amplitude", 1.0,
+def _write_two_phase_maps(root):
+    from psidemod.formats import save_phase_map
+
+    save_phase_map(root / "m1", make_bandlimited((32, 32), pv=1.0))
+    save_phase_map(root / "m2", make_bandlimited((32, 32), pv=1.2, cycles=(1, 2)))
+    return root / "m1.json", root / "m2.json"
+
+
+REPLAY_CASES = {
+    "demod-spatial": (
+        "demod", "--width", 128, "--height", 128, "--amplitude", 1.0,
         "--carrier", "pi/4", "--errors", "fixed:0,0.1,-0.15,0.2,-0.05",
         "--method", "spatial", "--cutoff", "pi/8",
         "--export-spectrum", "--line-cut-row", 64, "--compare-truth",
-    )
+    ),
+    "simulate-fig1": ("simulate", "--preset", "fig1"),
+    "demod-fig8": ("demod", "--preset", "fig8"),
+    "demod-fig9": ("demod", "--preset", "fig9"),
+    "ftf-fig2": ("ftf", "--preset", "fig2"),
+    "montecarlo": (
+        "montecarlo", "--width", 32, "--height", 32, "--amplitude", 1.0,
+        "--method", "spatial", "--carrier", "pi/2", "--trials", 3, "--seed", 7,
+    ),
+    "compare": ("compare", "--phase1", "{m1}", "--phase2", "{m2}", "--crop", 2, "--pgm"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_replay_reproduces_bytes(tmp_path, case):
+    m1, m2 = _write_two_phase_maps(tmp_path)
+    args = [str(a).format(m1=m1, m2=m2) for a in REPLAY_CASES[case]]
+    out1 = tmp_path / "run"
+    code, _, err = run_cli(*args, "--out", out1)
     assert code == 0, err
     out2 = tmp_path / "again"
     code, _, err = run_cli("replay", out1 / "manifest.json", "--out", out2)
@@ -426,6 +450,26 @@ def test_config_file_overrides(tmp_path):
     )
     assert code == 0
     assert read_json(out2 / "manifest.json")["parameters"]["width"] == 40
+    # even a flag that parses to None
+    dump_json(tmp_path / "carrier.json", {"width": 32, "height": 32, "carrier": [0.7, 0.0]})
+    out3 = tmp_path / "o3"
+    code, _, err = run_cli(
+        "simulate", "--out", out3, "--config", tmp_path / "carrier.json", "--carrier", "none"
+    )
+    assert code == 0, err
+    assert read_json(out3 / "manifest.json")["parameters"]["carrier"] is None
+    assert read_json(out3 / "stack.json")["carrier"] is None
+
+
+def test_flag_none_overrides_preset(tmp_path):
+    out = tmp_path / "o"
+    code, _, err = run_cli(
+        "demod", "--preset", "fig8", "--width", 64, "--height", 64,
+        "--line-cut-row", 32, "--carrier", "none", "--out", out,
+    )
+    assert code == 0, err
+    assert read_json(out / "manifest.json")["parameters"]["carrier"] is None
+    assert read_json(out / "stack.json")["carrier"] is None
 
 
 def test_config_unknown_key_refused(tmp_path):
@@ -471,3 +515,102 @@ def test_help_and_usage_exit_codes():
     assert code == 2
     code, _, _ = run_cli()
     assert code == 2
+
+
+# --- manifest schema ---
+
+_SYNTH_SCHEMA = {
+    "width": 256,
+    "height": 256,
+    "wavefront": "defocus",
+    "amplitude": 3.0,
+    "coefficients": None,
+    "background": 128.0,
+    "contrast": 100.0,
+    "omega0": np.pi / 2,
+    "frames": 5,
+    "errors": "zero",
+    "error_seed": 0,
+    "carrier": None,
+    "noise_sigma": 0.0,
+    "seed": 0,
+}
+
+_PSA_SCHEMA = {"psa": "sh5", "taps": None, "psa_step": None, "zeros": None}
+
+# every command's resolved defaults: a manifest recorded by an earlier
+# version replays only while these keys exist, and the same flags write the
+# same outputs only while these values stay put
+MANIFEST_SCHEMA = {
+    "simulate": {
+        **_SYNTH_SCHEMA,
+        "stem": "stack",
+        "preview": False,
+        "artifact_leak": None,
+        "line_cut_row": None,
+    },
+    "demod": {
+        **_SYNTH_SCHEMA,
+        "stack": None,
+        **_PSA_SCHEMA,
+        "method": "temporal",
+        "demod_carrier": "auto",
+        "cutoff": None,
+        "border_crop": None,
+        "filter": True,
+        "export_spectrum": False,
+        "line_cut_row": None,
+        "compare_truth": False,
+    },
+    "ftf": {**_PSA_SCHEMA, "samples": 1024},
+    "compare": {
+        "phase1": None,
+        "phase2": None,
+        "crop": 0,
+        "tilt": True,
+        "gain": 10.0,
+        "pgm": False,
+    },
+    "montecarlo": {
+        "width": 256,
+        "height": 256,
+        "wavefront": "defocus",
+        "amplitude": 3.0,
+        "coefficients": None,
+        **_PSA_SCHEMA,
+        "method": "temporal",
+        "carrier": None,
+        "cutoff": None,
+        "border_crop": None,
+        "errors": "uniform:0.3",
+        "trials": 50,
+        "seed": 0,
+        "background": 128.0,
+        "contrast": 100.0,
+        "noise_sigma": 0.0,
+        "crop": None,
+    },
+}
+
+
+def test_manifest_schema_of_every_command(tmp_path, bandlimited_truth):
+    from psidemod.formats import save_phase_map
+
+    save_phase_map(tmp_path / "m", bandlimited_truth)
+    phase = str(tmp_path / "m.json")
+    small = {"width": 16, "height": 16}
+    overrides = {
+        "simulate": small,
+        "demod": small,
+        "ftf": {},
+        "compare": {"phase1": phase, "phase2": phase},
+        "montecarlo": {**small, "trials": 2},
+    }
+    for command, given in overrides.items():
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in given.items()]
+        out = tmp_path / command
+        code, _, err = run_cli(command, *flags, "--out", out)
+        assert code == 0, err
+        manifest = read_json(out / "manifest.json")
+        assert manifest["command"] == command
+        assert manifest["parameters"] == {**MANIFEST_SCHEMA[command], **given}, command
