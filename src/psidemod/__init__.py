@@ -17,7 +17,6 @@ from .carrier import (
 )
 from .conjugate import (
     ConjugatePair,
-    LeakEstimate,
     conjugate_amplitudes,
     measure_leak,
     predicted_error_map,
@@ -60,7 +59,6 @@ __all__ = [
     "DegeneracyError",
     "ErrorSchedule",
     "InterferogramStack",
-    "LeakEstimate",
     "MonteCarloSummary",
     "PhaseDiffReport",
     "PhaseMap",

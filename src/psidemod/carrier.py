@@ -29,6 +29,8 @@ from .psa import PsaSpec, demodulate_temporal, field_phase
 _BANDWIDTH_REL_FLOOR = 1e-2
 # refuse when the estimated bandwidth reaches this fraction of the carrier
 _SLOPE_MARGIN = 0.95
+# estimate_carrier ignores the FFT bins within this radius of the origin
+_EXCLUSION_RADIUS = 2.0
 
 
 @functools.lru_cache(maxsize=4)
@@ -77,14 +79,11 @@ class SpectralMask:
 
     cutoff: float
     border_crop: int | None = None
-    shape: str = "ideal-disc"
 
     def __post_init__(self):
         cutoff = float(self.cutoff)
         if not np.isfinite(cutoff) or not 0.0 < cutoff <= np.pi:
             raise ValueError(f"cutoff must lie in (0, pi], got {cutoff!r}")
-        if self.shape != "ideal-disc":
-            raise ValueError(f"unsupported mask shape {self.shape!r}")
         crop = self.border_crop
         if crop is None:
             crop = math.ceil(TWO_PI / cutoff)
@@ -122,12 +121,12 @@ def lowpass(field: ComplexField, mask: SpectralMask) -> ComplexField:
     return _keep_disc(np.fft.fft2(field.values), mask.cutoff)
 
 
-def estimate_carrier(field: ComplexField, exclusion_radius: float = 2.0) -> CarrierSpec:
+def estimate_carrier(field: ComplexField) -> CarrierSpec:
     """Locate the dominant off-axis spectral lobe of a complex field.
 
-    The peak magnitude bin outside an ``exclusion_radius``-bin disc around
-    the origin is refined to sub-bin accuracy by a separable parabolic fit
-    over its 3x3 neighborhood (exact-bin carriers come back exact).
+    The peak magnitude bin outside a 2-bin disc around the origin is
+    refined to sub-bin accuracy by a separable parabolic fit over its 3x3
+    neighborhood (exact-bin carriers come back exact).
 
     Refuses when the spectrum is dominated by the excluded low-frequency
     region, i.e. there is no off-axis carrier lobe: for such data a spatial
@@ -136,9 +135,6 @@ def estimate_carrier(field: ComplexField, exclusion_radius: float = 2.0) -> Carr
     winner's neighborhood comes within 1% of its magnitude (ambiguous
     carrier, e.g. a near-real field with mirrored lobes).
     """
-    exclusion_radius = float(exclusion_radius)
-    if not np.isfinite(exclusion_radius) or exclusion_radius < 1.0:
-        raise ValueError(f"exclusion radius must be >= 1 bin, got {exclusion_radius!r}")
     height, width = field.shape
     spectrum = np.fft.fft2(field.values)
     magnitude = np.abs(spectrum)
@@ -146,7 +142,7 @@ def estimate_carrier(field: ComplexField, exclusion_radius: float = 2.0) -> Carr
     bins_y = np.fft.fftfreq(height) * height
     bins_x = np.fft.fftfreq(width) * width
     bin_radius = np.hypot(bins_x[None, :], bins_y[:, None])
-    excluded = bin_radius <= exclusion_radius
+    excluded = bin_radius <= _EXCLUSION_RADIUS
 
     outside = np.where(excluded, 0.0, magnitude)
     peak_out = float(outside.max())
@@ -198,7 +194,6 @@ class SpatialDiagnostics:
     filter_applied: bool
     signal_bandwidth: float  # estimated occupied bandwidth of the signal lobe, rad/px
     out_of_band_energy: float  # fraction of spectral energy admitted beyond that band
-    validity: np.ndarray
     invalid_pixels: int
 
     def to_dict(self) -> dict:
@@ -206,7 +201,7 @@ class SpatialDiagnostics:
             "carrier": {"u0": self.carrier.u0, "v0": self.carrier.v0},
             "carrier_source": self.carrier_source,
             "mask": {
-                "shape": self.mask.shape,
+                "shape": "ideal-disc",
                 "cutoff": self.mask.cutoff,
                 "border_crop": self.mask.border_crop,
             },
@@ -223,7 +218,6 @@ def demodulate_spatial(
     carrier: CarrierSpec | None = None,
     mask: SpectralMask | None = None,
     apply_filter: bool = True,
-    min_modulus_ratio: float = 1e-9,
 ):
     """Temporal demodulation, carrier removal, and spectral low-pass in one pass.
 
@@ -242,7 +236,6 @@ def demodulate_spatial(
         metadata_carrier=stack.metadata.carrier,
         mask=mask,
         apply_filter=apply_filter,
-        min_modulus_ratio=min_modulus_ratio,
     )
 
 
@@ -252,7 +245,6 @@ def spatial_from_temporal(
     metadata_carrier: CarrierSpec | None = None,
     mask: SpectralMask | None = None,
     apply_filter: bool = True,
-    min_modulus_ratio: float = 1e-9,
 ):
     """Carrier removal and spectral low-pass of an already demodulated field.
 
@@ -324,7 +316,7 @@ def spatial_from_temporal(
 
     filtered = _keep_disc(spectrum, mask.cutoff) if apply_filter else centered
 
-    phase, valid = field_phase(filtered, min_modulus_ratio)
+    phase, valid = field_phase(filtered)
     diagnostics = SpatialDiagnostics(
         carrier=carrier,
         carrier_source=source,
@@ -332,7 +324,6 @@ def spatial_from_temporal(
         filter_applied=bool(apply_filter),
         signal_bandwidth=bandwidth,
         out_of_band_energy=out_of_band,
-        validity=valid,
         invalid_pixels=int(valid.size - valid.sum()),
     )
     return phase, filtered, diagnostics

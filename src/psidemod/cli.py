@@ -85,8 +85,6 @@ def parse_carrier(text):
     """'none' -> None, 'pi/4' -> [u0, 0.0], 'pi/4,pi/8' -> [u0, v0]."""
     if text is None:
         return None
-    if isinstance(text, (list, tuple)):
-        return [float(text[0]), float(text[1])]
     s = str(text).strip().lower()
     if s in ("", "none", "null"):
         return None
@@ -107,20 +105,14 @@ def parse_demod_carrier(text):
 
 
 def parse_float_list(text):
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
     return [float(part) for part in str(text).split(",") if part.strip() != ""]
 
 
 def parse_angle_list(text):
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
     return [parse_angle(part) for part in str(text).split(",") if part.strip() != ""]
 
 
 def parse_coefficients(text):
-    if text is None or isinstance(text, list):
-        return text
     value = json.loads(str(text))
     if not isinstance(value, list):
         raise ValueError(f"coefficients must be a JSON nested list, got {text!r}")
@@ -219,7 +211,8 @@ PARAMETERS = {
     "contrast": (100.0, {"type": float, "help": "fringe contrast b"}),
     "omega0": (float(np.pi / 2), {"type": parse_angle, "help": "nominal step, e.g. pi/2"}),
     "frames": (5, {"type": int}),
-    "errors": ("zero", {"help": "zero | uniform:D | gaussian:S | quadratic-pzt:K | fixed:e0,e1,..."}),
+    "errors": ("zero", {"help": "zero | uniform:D | gaussian:S | quadratic-pzt:K | fixed:e0,e1,... "
+                                "(montecarlo refuses fixed:)"}),
     "error_seed": (0, {"type": int}),
     "carrier": (None, {"type": parse_carrier, "help": "synthesis carrier, 'none' or 'u0[,v0]' in rad/px"}),
     "noise_sigma": (0.0, {"type": float}),
@@ -305,10 +298,22 @@ PRESETS = {
 
 
 def _merge(command: str, params: dict, given: dict, source: str) -> dict:
+    """Override ``params`` with ``given``, parsing strings with each row's type."""
+    if not isinstance(given, dict):
+        raise ValueError(f"{source} must be a JSON object of parameters, got {type(given).__name__}")
     unknown = set(given) - set(DEFAULTS[command])
     if unknown:
         raise ValueError(f"{source} has unknown {command} parameters: {sorted(unknown)}")
-    params.update(given)
+    for name, value in given.items():
+        keywords = PARAMETERS[name][1]
+        if "action" in keywords and not isinstance(value, bool):
+            raise ValueError(f"{source} sets switch {name!r} to {value!r}, not true or false")
+        if isinstance(value, str) and "type" in keywords:
+            value = keywords["type"](value)
+        choices = keywords.get("choices")
+        if choices is not None and value not in choices:
+            raise ValueError(f"{source} sets {name!r} to {value!r}, not one of {choices}")
+        params[name] = value
     return params
 
 
@@ -326,6 +331,16 @@ def _resolve_params(command: str, args) -> dict:
     return _merge(command, params, flags, "flags")
 
 
+def _cut_row(params: dict, height: int) -> int | None:
+    """The requested line-cut row, refused unless it lies on the map."""
+    if params["line_cut_row"] is None:
+        return None
+    row = int(params["line_cut_row"])
+    if not 0 <= row < height:
+        raise ValueError(f"line-cut row {row} outside a {height}-row map")
+    return row
+
+
 def _write_gray(path: Path, values: np.ndarray) -> None:
     write_pgm(path, np.clip(np.round(values), 0, 255).astype(np.uint8))
 
@@ -341,8 +356,8 @@ def _run_simulate(params: dict, out: Path) -> None:
         pair = ConjugatePair(1.0 + 0.0j, leak + 0.0j)
         error_map = predicted_error_map(truth, pair)
         save_phase_map(out / "predicted_error", error_map)
-        if params["line_cut_row"] is not None:
-            row = int(params["line_cut_row"])
+        row = _cut_row(params, truth.height)
+        if row is not None:
             write_line_cut_csv(
                 out / "error_cut.csv",
                 {
@@ -395,8 +410,7 @@ def _run_demod(params: dict, out: Path) -> None:
         )
         diagnostics = {"method": "spatial", **diag.to_dict()}
         crop = diag.mask.border_crop
-        unfiltered_phase, _ = field_phase(remove_carrier(temporal, diag.carrier))
-        cut_columns = {"filtered": phase, "unfiltered": unfiltered_phase}
+        cut_columns = {"filtered": phase}
     else:
         raise ValueError(f"unknown method {method!r}, expected 'temporal' or 'spatial'")
     if reference is not None:
@@ -406,10 +420,10 @@ def _run_demod(params: dict, out: Path) -> None:
     save_complex_field(out / "field", field)
     dump_json(out / "diagnostics.json", diagnostics)
 
-    if params["line_cut_row"] is not None:
-        row = int(params["line_cut_row"])
-        if not 0 <= row < phase.height:
-            raise ValueError(f"line-cut row {row} outside a {phase.height}-row map")
+    row = _cut_row(params, phase.height)
+    if row is not None:
+        if method == "spatial":
+            cut_columns["unfiltered"], _ = field_phase(remove_carrier(temporal, diag.carrier))
         columns = {name: column.values[row] for name, column in cut_columns.items()}
         if reference is not None:
             columns["reference"] = reference.values[row]

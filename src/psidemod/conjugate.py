@@ -26,19 +26,21 @@ from .errors import DegeneracyError, RefusalError
 from .fields import TWO_PI, ComplexField, ErrorSchedule, PhaseMap, wrap
 from .psa import PsaSpec
 
+# measure_leak refuses a fit whose Gram condition number exceeds this
+_COND_LIMIT = 1e6
+
 
 @dataclass(frozen=True)
 class ConjugatePair:
-    """Signal and conjugate amplitudes (A1, A2) for one algorithm/schedule."""
+    """Signal and conjugate amplitudes (A1, A2) of a demodulated field, in
+    closed form (:func:`conjugate_amplitudes`) or fitted (:func:`measure_leak`)."""
 
     a1: complex
     a2: complex
-    contrast: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "a1", complex(self.a1))
         object.__setattr__(self, "a2", complex(self.a2))
-        object.__setattr__(self, "contrast", float(self.contrast))
 
     @property
     def leak_ratio(self) -> float:
@@ -72,7 +74,7 @@ def conjugate_amplitudes(spec: PsaSpec, errors: ErrorSchedule, contrast=1.0) -> 
     n = np.arange(spec.n_steps)
     a1 = 0.5 * contrast * np.sum(spec.coefficients * np.exp(1j * eps))
     a2 = 0.5 * contrast * np.sum(spec.coefficients * np.exp(-1j * (2.0 * n * spec.nominal_step + eps)))
-    return ConjugatePair(complex(a1), complex(a2), contrast)
+    return ConjugatePair(a1, a2)
 
 
 def predicted_error_map(truth: PhaseMap, pair: ConjugatePair) -> PhaseMap:
@@ -96,35 +98,14 @@ def predicted_error_map(truth: PhaseMap, pair: ConjugatePair) -> PhaseMap:
     return PhaseMap(wrap(phi - np.angle(z)), wrapped=True)
 
 
-@dataclass(frozen=True)
-class LeakEstimate:
-    """Least-squares fit of a field against e^{i phi} and e^{-i phi}."""
-
-    alpha: complex
-    beta: complex
-    condition: float
-
-    @property
-    def ratio(self) -> float:
-        if self.alpha == 0:
-            return math.inf
-        return abs(self.beta) / abs(self.alpha)
-
-    @property
-    def relative_phase(self) -> float:
-        if self.alpha == 0:
-            return math.nan
-        return float(np.angle(self.beta / self.alpha))
-
-
-def measure_leak(field: ComplexField, truth: PhaseMap, cond_limit: float = 1e6) -> LeakEstimate:
+def measure_leak(field: ComplexField, truth: PhaseMap) -> ConjugatePair:
     """Fit S ~ alpha e^{i phi} + beta e^{-i phi} over the whole grid.
 
-    Solves the 2x2 normal equations of the global least-squares problem.
-    The two basis fields become collinear as the truth flattens; the fit is
-    refused when the Gram condition number exceeds ``cond_limit`` (a truth
-    spanning well under half a fringe).  The condition number is reported
-    in the estimate for diagnostic use.
+    Solves the 2x2 normal equations of the global least-squares problem and
+    returns the fitted (alpha, beta) as the pair (A1, A2).  The two basis
+    fields become collinear as the truth flattens; the fit is refused when
+    the Gram condition number exceeds 1e6 (a truth spanning well under half
+    a fringe).
     """
     if field.shape != truth.shape:
         raise ValueError(f"field shape {field.shape} does not match truth shape {truth.shape}")
@@ -134,11 +115,11 @@ def measure_leak(field: ComplexField, truth: PhaseMap, cond_limit: float = 1e6) 
     gram = complex(np.sum(np.exp(-2j * phi)))
     denom = n_pix - abs(gram)
     condition = math.inf if denom <= 0.0 else (n_pix + abs(gram)) / denom
-    if condition > cond_limit:
+    if condition > _COND_LIMIT:
         span = float(phi.max() - phi.min())
         raise DegeneracyError(
             f"e^(i phi) and e^(-i phi) are nearly collinear (condition {condition:.3g} > "
-            f"{cond_limit:.3g}): the truth spans {span / TWO_PI:.3g} fringes; at least "
+            f"{_COND_LIMIT:.3g}): the truth spans {span / TWO_PI:.3g} fringes; at least "
             "several tenths of a fringe are needed to separate the two terms"
         )
     u = np.exp(1j * phi)
@@ -147,4 +128,4 @@ def measure_leak(field: ComplexField, truth: PhaseMap, cond_limit: float = 1e6) 
     det = n_pix * n_pix - (gram * gram.conjugate()).real
     alpha = (n_pix * rhs1 - gram * rhs2) / det
     beta = (n_pix * rhs2 - gram.conjugate() * rhs1) / det
-    return LeakEstimate(complex(alpha), complex(beta), float(condition))
+    return ConjugatePair(alpha, beta)

@@ -55,13 +55,16 @@ def _freeze(obj, name, array):
     object.__setattr__(obj, name, array)
 
 
-def _grid(values, dtype, what) -> np.ndarray:
-    """A private copy of ``values``: 2D, at least 2x2, finite."""
+def _validated(values, dtype, what, min_shape) -> np.ndarray:
+    """A private copy of ``values`` with one axis per entry of ``min_shape``,
+    each at least that long, and only finite entries."""
     v = np.array(values, dtype=dtype, copy=True)
-    if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 2:
-        raise ValueError(f"{what} must be at least 2x2, got shape {v.shape}")
+    if v.ndim != len(min_shape) or any(n < m for n, m in zip(v.shape, min_shape)):
+        raise ValueError(
+            f"{what} must be {len(min_shape)}D with shape at least {min_shape}, got shape {v.shape}"
+        )
     if not np.all(np.isfinite(v)):
-        raise ValueError(f"{what} contains non-finite values")
+        raise ValueError(f"{what} of shape {v.shape} contains non-finite values")
     return v
 
 
@@ -93,7 +96,7 @@ class PhaseMap(_Grid):
     wrapped: bool = False
 
     def __post_init__(self):
-        v = _grid(self.values, np.float64, "phase map")
+        v = _validated(self.values, np.float64, "phase map", (2, 2))
         # slack of a few float32 ULP so re-imported .f32 maps stay valid
         if self.wrapped and (v.min() < -np.pi - 1e-6 or v.max() >= np.pi + 1e-6):
             raise ValueError("wrapped phase map has values outside [-pi, pi)")
@@ -107,7 +110,7 @@ class ComplexField(_Grid):
     values: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, "values", _grid(self.values, np.complex128, "complex field"))
+        _freeze(self, "values", _validated(self.values, np.complex128, "complex field", (2, 2)))
 
 
 @dataclass(frozen=True)
@@ -117,11 +120,7 @@ class ErrorSchedule:
     deviations: np.ndarray
 
     def __post_init__(self):
-        d = np.atleast_1d(np.array(self.deviations, dtype=np.float64))
-        if d.ndim != 1 or d.size < 1:
-            raise ValueError("error schedule must be a non-empty 1D sequence")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("error schedule contains non-finite values")
+        d = _validated(np.atleast_1d(self.deviations), np.float64, "error schedule", (1,))
         _freeze(self, "deviations", d)
 
     @property
@@ -190,15 +189,7 @@ class InterferogramStack:
     metadata: StackMetadata = field(default_factory=StackMetadata)
 
     def __post_init__(self):
-        f = np.array(self.frames, dtype=np.float64, copy=True)
-        if f.ndim != 3:
-            raise ValueError(f"stack frames must be 3D (n, height, width), got {f.ndim}D")
-        if f.shape[0] < 3:
-            raise ValueError(f"stack needs at least 3 frames, got {f.shape[0]}")
-        if f.shape[1] < 2 or f.shape[2] < 2:
-            raise ValueError(f"stack frames must be at least 2x2, got {f.shape[1:]}")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("stack contains non-finite values")
+        f = _validated(self.frames, np.float64, "stack frames", (3, 2, 2))
         step = float(self.nominal_step)
         if not np.isfinite(step) or step == 0.0:
             raise ValueError(f"nominal step must be finite and nonzero, got {step!r}")

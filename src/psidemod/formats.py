@@ -32,7 +32,10 @@ def dump_json(path, payload) -> Path:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} holds a JSON {type(payload).__name__}, not an object")
+    return payload
 
 
 def write_f32(path, values) -> Path:
@@ -60,14 +63,24 @@ def _dump_sidecar(stem: Path, kind: str, grid, **extra) -> Path:
     return dump_json(stem.with_suffix(".json"), payload)
 
 
+def _sizes(sidecar: Path, meta: dict, keys) -> tuple:
+    """The positive integers a sidecar records under ``keys``."""
+    sizes = tuple(meta.get(key) for key in keys)
+    for key, size in zip(keys, sizes):
+        if type(size) is not int or size < 1:
+            raise ValueError(f"{sidecar} field {key!r} must be a positive integer, got {size!r}")
+    return sizes
+
+
 def _load_sidecar(path, kind: str, what: str):
-    """The sidecar path and contents for ``path`` (sidecar or raw file)."""
+    """The sidecar path, its contents and the (height, width) it records,
+    for ``path`` (sidecar or raw file)."""
     path = Path(path)
     sidecar = path if path.suffix == ".json" else path.with_suffix(".json")
     meta = load_json(sidecar)
     if meta.get("kind") != kind:
         raise ValueError(f"{sidecar} does not describe {what}")
-    return sidecar, meta
+    return sidecar, meta, _sizes(sidecar, meta, ("height", "width"))
 
 
 def save_phase_map(stem, phase_map: PhaseMap) -> list[Path]:
@@ -77,8 +90,8 @@ def save_phase_map(stem, phase_map: PhaseMap) -> list[Path]:
 
 
 def load_phase_map(path) -> PhaseMap:
-    sidecar, meta = _load_sidecar(path, "phase_map", "a phase map")
-    values = read_f32(sidecar.with_suffix(".f32"), (meta["height"], meta["width"]))
+    sidecar, meta, shape = _load_sidecar(path, "phase_map", "a phase map")
+    values = read_f32(sidecar.with_suffix(".f32"), shape)
     return PhaseMap(values.astype(np.float64), wrapped=bool(meta["wrapped"]))
 
 
@@ -90,8 +103,7 @@ def save_complex_field(stem, field: ComplexField) -> list[Path]:
 
 
 def load_complex_field(path) -> ComplexField:
-    sidecar, meta = _load_sidecar(path, "complex_field", "a complex field")
-    shape = (int(meta["height"]), int(meta["width"]))
+    sidecar, _, shape = _load_sidecar(path, "complex_field", "a complex field")
     data = _read_raw(sidecar.with_suffix(".c64"), shape, np.dtype("<c8"))
     return ComplexField(data.astype(np.complex128))
 
@@ -133,10 +145,9 @@ def load_stack(sidecar_path) -> InterferogramStack:
     """Rebuild a stack from its sidecar, frames from .f32 or .pgm files."""
     sidecar = Path(sidecar_path)
     meta = load_json(sidecar)
-    for key in ("width", "height", "N", "omega0"):
-        if meta.get(key) is None:
-            raise ValueError(f"stack sidecar {sidecar} lacks required field {key!r}")
-    width, height, n_frames = int(meta["width"]), int(meta["height"]), int(meta["N"])
+    width, height, n_frames = _sizes(sidecar, meta, ("width", "height", "N"))
+    if meta.get("omega0") is None:
+        raise ValueError(f"stack sidecar {sidecar} lacks required field 'omega0'")
     stem = sidecar.stem
     frames = np.empty((n_frames, height, width))
     for index in range(n_frames):
@@ -153,6 +164,8 @@ def load_stack(sidecar_path) -> InterferogramStack:
             raise FileNotFoundError(f"frame {index} of {sidecar} not found ({raw.name} or {pgm.name})")
 
     carrier = meta.get("carrier")
+    if carrier is not None and not (isinstance(carrier, dict) and {"u0", "v0"} <= carrier.keys()):
+        raise ValueError(f"stack sidecar {sidecar} carrier needs 'u0' and 'v0', got {carrier!r}")
     errors = meta.get("errors")
     metadata = StackMetadata(
         background=None if meta.get("a") is None else float(meta["a"]),
@@ -198,24 +211,18 @@ def read_pgm(path) -> np.ndarray:
     return pixels.reshape(height, width).copy()
 
 
-def write_pgm(path, image, maxval: int | None = None) -> Path:
-    """Write a binary (P5) PGM; 16-bit data goes out big-endian."""
+def write_pgm(path, image) -> Path:
+    """Write a binary (P5) PGM with the full range of the image dtype as
+    maxval: 255 for uint8, 65535 for uint16 (written big-endian)."""
     path = Path(path)
     image = np.asarray(image)
     if image.ndim != 2:
         raise ValueError(f"PGM image must be 2D, got shape {image.shape}")
-    if image.dtype == np.uint8:
-        maxval = 255 if maxval is None else int(maxval)
-        payload = image.tobytes()
-    elif image.dtype == np.uint16:
-        maxval = 65535 if maxval is None else int(maxval)
-        payload = image.astype(">u2").tobytes()
-    else:
+    if image.dtype not in (np.uint8, np.uint16):
         raise ValueError(f"PGM image must be uint8 or uint16, got {image.dtype}")
-    if not 0 < maxval < 65536:
-        raise ValueError(f"unsupported PGM maxval {maxval}")
+    maxval = np.iinfo(image.dtype).max
     header = f"P5\n{image.shape[1]} {image.shape[0]}\n{maxval}\n".encode("ascii")
-    path.write_bytes(header + payload)
+    path.write_bytes(header + image.astype(image.dtype.newbyteorder(">")).tobytes())
     return path
 
 
@@ -246,8 +253,8 @@ def export_spectrum(stem, field: ComplexField) -> list[Path]:
 
 def load_spectrum(path):
     """Read back an exported spectrum; returns (log-magnitude array, sidecar dict)."""
-    sidecar, meta = _load_sidecar(path, "spectrum_log10", "a spectrum export")
-    values = read_f32(sidecar.with_suffix(".f32"), (meta["height"], meta["width"]))
+    sidecar, meta, shape = _load_sidecar(path, "spectrum_log10", "a spectrum export")
+    values = read_f32(sidecar.with_suffix(".f32"), shape)
     return values, meta
 
 

@@ -29,6 +29,9 @@ from .fields import TWO_PI, ComplexField, InterferogramStack, PhaseMap, wrap
 # relative level; as background-rejecting when |H(0)| is
 _REAL_TOL = 1e-12
 _BACKGROUND_TOL = 1e-12
+# a pixel's phase counts as valid when its modulus reaches this fraction
+# of the field's peak modulus
+_MIN_MODULUS_RATIO = 1e-9
 
 
 @dataclass(frozen=True)
@@ -183,12 +186,12 @@ def demodulate_temporal(stack: InterferogramStack, spec: PsaSpec) -> ComplexFiel
     return ComplexField(values)
 
 
-def field_phase(field: ComplexField, min_modulus_ratio: float = 1e-9):
+def field_phase(field: ComplexField):
     """Extract wrapped phase from a complex field.
 
-    Pixels whose modulus falls below ``min_modulus_ratio`` times the peak
-    modulus have meaningless phase; they are set to 0 and flagged False in
-    the returned validity mask.
+    Pixels whose modulus falls below 1e-9 times the peak modulus have
+    meaningless phase; they are set to 0 and flagged False in the returned
+    validity mask.
 
     Returns
     -------
@@ -198,7 +201,7 @@ def field_phase(field: ComplexField, min_modulus_ratio: float = 1e-9):
     modulus = np.abs(field.values)
     peak = float(modulus.max())
     if peak > 0.0:
-        valid = modulus >= min_modulus_ratio * peak
+        valid = modulus >= _MIN_MODULUS_RATIO * peak
     else:
         valid = np.zeros(field.shape, dtype=bool)
     # np.angle lies in [-pi, pi]; only +pi needs mapping into [-pi, pi)

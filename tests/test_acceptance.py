@@ -67,7 +67,7 @@ def test_criterion_2_closed_form_field_identity():
             worst_field, float(np.abs(field.values - model).max()) / abs(pair.a1)
         )
         worst_leak = max(
-            worst_leak, abs(p.measure_leak(field, truth).ratio - pair.leak_ratio)
+            worst_leak, abs(p.measure_leak(field, truth).leak_ratio - pair.leak_ratio)
         )
     passed = worst_field <= 1e-10 and worst_leak < 1e-9
     report(

@@ -115,7 +115,6 @@ def test_spatial_warns_when_only_dc_survives():
 def test_mask_defaults_and_validation():
     mask = p.SpectralMask(np.pi / 8)
     assert mask.border_crop == 16
-    assert mask.shape == "ideal-disc"
     assert p.SpectralMask(np.pi / 8, border_crop=4).border_crop == 4
     derived = p.SpectralMask.for_carrier(p.CarrierSpec(np.pi / 4, 0.0))
     assert derived.cutoff == pytest.approx(np.pi / 8)
@@ -125,8 +124,6 @@ def test_mask_defaults_and_validation():
         p.SpectralMask(3.5)
     with pytest.raises(ValueError):
         p.SpectralMask(np.pi / 8, border_crop=-1)
-    with pytest.raises(ValueError):
-        p.SpectralMask(np.pi / 8, shape="gaussian")
 
 
 # --- carrier estimation ---

@@ -96,6 +96,17 @@ def test_simulate_carrier_echoed(tmp_path):
     assert sidecar["carrier"]["u0"] == pytest.approx(np.pi / 4)
 
 
+@pytest.mark.parametrize("row", [99, -1])
+def test_simulate_line_cut_row_off_the_map_refused(tmp_path, row):
+    code, _, err = run_cli(
+        "simulate", "--width", 32, "--height", 32, "--artifact-leak", 0.1,
+        "--line-cut-row", row, "--out", tmp_path / "x",
+    )
+    assert code == 2
+    assert "line-cut row" in err
+    assert not (tmp_path / "x" / "error_cut.csv").exists()
+
+
 # --- demod ---
 
 
@@ -159,6 +170,27 @@ def test_demod_spatial_runs_the_temporal_step_once(tmp_path, monkeypatch):
     )
     assert code == 0, err
     assert len(calls) == 1
+
+
+def test_demod_spatial_unfiltered_cut_only_with_a_line_cut(tmp_path, monkeypatch):
+    calls = []
+    original = p.remove_carrier
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (cli, p.carrier):
+        monkeypatch.setattr(module, "remove_carrier", counting)
+    spatial = ("demod", "--method", "spatial", "--carrier", "pi/4", "--cutoff", "pi/8",
+               "--width", 64, "--height", 64, "--amplitude", 1.0)
+    code, _, err = run_cli(*spatial, "--out", tmp_path / "x")
+    assert code == 0, err
+    assert len(calls) == 1
+    assert not (tmp_path / "x" / "line_cut.csv").exists()
+    code, _, err = run_cli(*spatial, "--line-cut-row", 64, "--out", tmp_path / "y")
+    assert code == 2
+    assert "line-cut row 64 outside a 64-row map" in err
 
 
 def test_demod_spatial_needs_a_carrier(tmp_path):
@@ -338,6 +370,42 @@ def test_compare_two_spatial_runs_agree(tmp_path):
     assert read_json(out / "report.json")["pv_waves"] < 0.01
 
 
+@pytest.mark.parametrize(
+    "kind, broken",
+    [
+        ("phase_map", {"height": None}),
+        ("phase_map", {"height": "16"}),
+        ("phase_map", {"width": -16}),
+        ("stack", {"carrier": {"u0": 0.7}}),
+        ("stack", {"carrier": [0.7, 0.0]}),
+        ("stack", {"N": 2.5}),
+        ("stack", None),
+    ],
+)
+def test_malformed_sidecar_refused(tmp_path, kind, broken):
+    from psidemod.formats import dump_json, save_phase_map
+
+    truth = make_bandlimited((16, 16), pv=1.0, cycles=(1, 1))
+    if kind == "phase_map":
+        save_phase_map(tmp_path / "m", truth)
+        argv = ("compare", "--phase1", tmp_path / "m.json", "--phase2", tmp_path / "m.json")
+        sidecar = tmp_path / "m.json"
+    else:
+        stack = p.generate_stack(truth, 128.0, 100.0, np.pi / 2, 5, carrier=p.CarrierSpec(0.7))
+        save_stack(tmp_path, stack)
+        argv = ("demod", "--stack", tmp_path / "stack.json")
+        sidecar = tmp_path / "stack.json"
+    if broken is None:
+        dump_json(sidecar, [read_json(sidecar)])
+    else:
+        meta = read_json(sidecar)
+        meta.update(broken)
+        dump_json(sidecar, {key: value for key, value in meta.items() if value is not None})
+    code, _, err = run_cli(*argv, "--out", tmp_path / "x")
+    assert code == 2, err
+    assert str(sidecar) in err
+
+
 def test_compare_requires_both_maps(tmp_path):
     code, _, err = run_cli("compare", "--out", tmp_path / "x")
     assert code == 2
@@ -479,6 +547,61 @@ def test_config_unknown_key_refused(tmp_path):
     code, _, err = run_cli("simulate", "--out", tmp_path / "x", "--config", tmp_path / "cfg.json")
     assert code == 2
     assert "widht" in err
+
+
+@pytest.mark.parametrize(
+    "key, text, parsed",
+    [
+        ("omega0", "pi/2", float(np.pi / 2)),
+        ("carrier", "pi/4", [float(np.pi / 4), 0.0]),
+        ("width", "32", 32),
+    ],
+)
+def test_config_strings_go_through_the_flag_parser(tmp_path, key, text, parsed):
+    from psidemod.formats import dump_json
+
+    dump_json(tmp_path / "cfg.json", {"width": 32, "height": 32, "amplitude": 1.0, key: text})
+    out = tmp_path / "o"
+    code, _, err = run_cli("simulate", "--out", out, "--config", tmp_path / "cfg.json")
+    assert code == 0, err
+    assert read_json(out / "manifest.json")["parameters"][key] == parsed
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"preview": "false"}, "config file sets switch 'preview'"),
+        ({"wavefront": "sphere"}, "config file sets 'wavefront' to 'sphere', not one of"),
+        ([[1, 2]], "cfg.json holds a JSON list, not an object"),
+    ],
+)
+def test_config_malformed_values_refused(tmp_path, payload, message):
+    from psidemod.formats import dump_json
+
+    dump_json(tmp_path / "cfg.json", payload)
+    out = tmp_path / "o"
+    code, _, err = run_cli(
+        "simulate", "--width", 32, "--height", 32, "--out", out, "--config", tmp_path / "cfg.json"
+    )
+    assert code == 2
+    assert message in err
+    assert not (out / "frame_000.pgm").exists()
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ([1, 2], "m.json holds a JSON list, not an object"),
+        ({"command": "simulate", "parameters": [1]}, "manifest must be a JSON object"),
+    ],
+)
+def test_replay_of_a_malformed_manifest_refused(tmp_path, manifest, message):
+    from psidemod.formats import dump_json
+
+    dump_json(tmp_path / "m.json", manifest)
+    code, _, err = run_cli("replay", tmp_path / "m.json", "--out", tmp_path / "x")
+    assert code == 2
+    assert message in err
 
 
 def test_parse_angle():

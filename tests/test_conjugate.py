@@ -111,9 +111,9 @@ def test_measure_leak_exact_model():
     phi = truth.values
     field = p.ComplexField(np.exp(1j * phi) + 0.1 * np.exp(-1j * phi))
     estimate = p.measure_leak(field, truth)
-    assert abs(estimate.ratio - 0.1) < 1e-10
+    assert abs(estimate.leak_ratio - 0.1) < 1e-10
     pure = p.ComplexField(np.exp(1j * phi))
-    assert p.measure_leak(pure, truth).ratio < 1e-12
+    assert p.measure_leak(pure, truth).leak_ratio < 1e-12
 
 
 def test_measure_leak_matches_prediction_end_to_end(sh5, defocus_truth):
@@ -122,8 +122,8 @@ def test_measure_leak_matches_prediction_end_to_end(sh5, defocus_truth):
     field = p.demodulate_temporal(stack, sh5)
     pair = p.conjugate_amplitudes(sh5, schedule, 100.0)
     estimate = p.measure_leak(field, defocus_truth)
-    assert abs(estimate.ratio - pair.leak_ratio) < 1e-9
-    assert estimate.alpha == pytest.approx(pair.a1, rel=1e-9)
+    assert abs(estimate.leak_ratio - pair.leak_ratio) < 1e-9
+    assert estimate.a1 == pytest.approx(pair.a1, rel=1e-9)
     assert p.wrap(estimate.relative_phase - pair.relative_phase) == pytest.approx(0.0, abs=1e-9)
 
 
