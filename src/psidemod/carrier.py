@@ -46,19 +46,22 @@ def _freq_radius(shape):
 
 @functools.lru_cache(maxsize=8)
 def _disc(shape, radius):
-    """FFT bins with radial frequency <= ``radius`` rad/px, and how many there
-    are; cached per shape and radius, read-only."""
-    inside = _freq_radius(shape) <= radius
+    """FFT bins with radial frequency <= ``radius`` rad/px, and the radial
+    frequencies of those bins; cached per shape and radius, read-only."""
+    rho = _freq_radius(shape)
+    inside = rho <= radius
+    radii = rho[inside]
     inside.setflags(write=False)
-    return inside, int(inside.sum())
+    radii.setflags(write=False)
+    return inside, radii
 
 
 def _keep_disc(spectrum: np.ndarray, cutoff: float) -> ComplexField:
     """Zero the bins of ``spectrum`` outside the cutoff disc, in place, and
     transform back.  Warns when the disc admits only the DC bin, since the
     filtered phase is then constant."""
-    inside, count = _disc(spectrum.shape, cutoff)
-    if count <= 1:
+    inside, radii = _disc(spectrum.shape, cutoff)
+    if radii.size <= 1:
         warnings.warn(
             f"cutoff {cutoff:.6g} rad/px admits only the DC bin on a "
             f"{spectrum.shape[0]}x{spectrum.shape[1]} grid; the filtered phase is constant",
@@ -212,6 +215,46 @@ class SpatialDiagnostics:
         }
 
 
+def _filtered_band(field: np.ndarray, carrier: CarrierSpec, mask: SpectralMask):
+    """The linear part of :func:`spatial_from_temporal` on one field: its
+    carrier-removed spectrum bins inside the carrier disc, and its filtered field."""
+    spectrum = np.fft.fft2(remove_carrier(ComplexField(field), carrier).values)
+    in_band, _ = _disc(spectrum.shape, carrier.magnitude)
+    band = spectrum[in_band]
+    return band, _keep_disc(spectrum, mask.cutoff).values
+
+
+def _guard_band(in_band: np.ndarray, shape, carrier: CarrierSpec, mask: SpectralMask,
+                apply_filter: bool = True) -> float:
+    """Apply the refusals of :func:`spatial_from_temporal` to a carrier-removed
+    spectrum, given its bins inside the carrier disc, and return the occupied
+    signal bandwidth in rad/px."""
+    if mask.cutoff >= carrier.magnitude:
+        raise RefusalError(
+            f"mask cutoff {mask.cutoff:.6g} rad/px must stay below the carrier "
+            f"magnitude {carrier.magnitude:.6g} rad/px"
+        )
+    magnitude = np.abs(in_band)
+    peak = float(magnitude.max())
+    if peak == 0.0:
+        raise DegeneracyError("demodulated field has an empty spectrum")
+    _, radii = _disc(shape, carrier.magnitude)
+    bandwidth = float(radii[magnitude >= _BANDWIDTH_REL_FLOOR * peak].max())
+    if bandwidth >= _SLOPE_MARGIN * carrier.magnitude:
+        raise RefusalError(
+            f"estimated signal bandwidth {bandwidth:.6g} rad/px reaches the carrier "
+            f"magnitude {carrier.magnitude:.6g} rad/px: the carrier does not exceed "
+            "the wavefront slope, so the signal and conjugate lobes overlap"
+        )
+    if apply_filter and 2.0 * carrier.magnitude - bandwidth <= mask.cutoff:
+        raise RefusalError(
+            f"conjugate lobe at 2x the carrier ({2.0 * carrier.magnitude:.6g} rad/px) "
+            f"spread by the signal bandwidth {bandwidth:.6g} rad/px reaches the mask "
+            f"cutoff {mask.cutoff:.6g} rad/px; shrink the cutoff or raise the carrier"
+        )
+    return bandwidth
+
+
 def demodulate_spatial(
     stack: InterferogramStack,
     spec: PsaSpec,
@@ -278,40 +321,16 @@ def spatial_from_temporal(
 
     if mask is None:
         mask = SpectralMask.for_carrier(carrier)
-    if mask.cutoff >= carrier.magnitude:
-        raise RefusalError(
-            f"mask cutoff {mask.cutoff:.6g} rad/px must stay below the carrier "
-            f"magnitude {carrier.magnitude:.6g} rad/px"
-        )
 
     centered = remove_carrier(temporal, carrier)
     spectrum = np.fft.fft2(centered.values)
-    magnitude = np.abs(spectrum)
-    rho = _freq_radius(centered.shape)
-
     in_band, _ = _disc(centered.shape, carrier.magnitude)
-    peak = float(magnitude[in_band].max())
-    if peak == 0.0:
-        raise DegeneracyError("demodulated field has an empty spectrum")
-    occupied = in_band & (magnitude >= _BANDWIDTH_REL_FLOOR * peak)
-    bandwidth = float(rho[occupied].max())
+    bandwidth = _guard_band(spectrum[in_band], centered.shape, carrier, mask, apply_filter)
 
-    if bandwidth >= _SLOPE_MARGIN * carrier.magnitude:
-        raise RefusalError(
-            f"estimated signal bandwidth {bandwidth:.6g} rad/px reaches the carrier "
-            f"magnitude {carrier.magnitude:.6g} rad/px: the carrier does not exceed "
-            "the wavefront slope, so the signal and conjugate lobes overlap"
-        )
-    if apply_filter and 2.0 * carrier.magnitude - bandwidth <= mask.cutoff:
-        raise RefusalError(
-            f"conjugate lobe at 2x the carrier ({2.0 * carrier.magnitude:.6g} rad/px) "
-            f"spread by the signal bandwidth {bandwidth:.6g} rad/px reaches the mask "
-            f"cutoff {mask.cutoff:.6g} rad/px; shrink the cutoff or raise the carrier"
-        )
-
+    magnitude = np.abs(spectrum)
     admitted, _ = _disc(centered.shape, mask.cutoff)
     total_energy = float(np.sum(magnitude**2))
-    out_band = admitted & (rho > bandwidth)
+    out_band = admitted & (_freq_radius(centered.shape) > bandwidth)
     out_of_band = float(np.sum(magnitude[out_band] ** 2) / total_energy)
 
     filtered = _keep_disc(spectrum, mask.cutoff) if apply_filter else centered

@@ -297,8 +297,33 @@ PRESETS = {
 }
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value, count=None) -> bool:
+    return isinstance(value, list) and all(map(_number, value)) and count in (None, len(value))
+
+
+# what each row type parses to, for values that arrive already parsed
+# (config numbers and lists, manifests, flags): (test, description); a
+# row whose default is null also takes null
+_PARSED = {
+    int: (lambda v: _number(v) and isinstance(v, int), "an integer"),
+    float: (_number, "a number"),
+    parse_angle: (_number, "a number"),
+    parse_carrier: (lambda v: v is None or _numbers(v, 2), "null or a [u0, v0] pair"),
+    parse_demod_carrier: (lambda v: v is None or _numbers(v, 2), "null or a [u0, v0] pair"),
+    parse_float_list: (_numbers, "a list of numbers"),
+    parse_angle_list: (_numbers, "a list of numbers"),
+    parse_coefficients: (lambda v: isinstance(v, list), "a nested list"),
+    None: (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def _merge(command: str, params: dict, given: dict, source: str) -> dict:
-    """Override ``params`` with ``given``, parsing strings with each row's type."""
+    """Override ``params`` with ``given``: strings go through each row's
+    parser, other values must already have the shape that parser gives."""
     if not isinstance(given, dict):
         raise ValueError(f"{source} must be a JSON object of parameters, got {type(given).__name__}")
     unknown = set(given) - set(DEFAULTS[command])
@@ -306,10 +331,16 @@ def _merge(command: str, params: dict, given: dict, source: str) -> dict:
         raise ValueError(f"{source} has unknown {command} parameters: {sorted(unknown)}")
     for name, value in given.items():
         keywords = PARAMETERS[name][1]
-        if "action" in keywords and not isinstance(value, bool):
-            raise ValueError(f"{source} sets switch {name!r} to {value!r}, not true or false")
-        if isinstance(value, str) and "type" in keywords:
-            value = keywords["type"](value)
+        parse = keywords.get("type")
+        if "action" in keywords:
+            if not isinstance(value, bool):
+                raise ValueError(f"{source} sets switch {name!r} to {value!r}, not true or false")
+        elif isinstance(value, str) and parse is not None:
+            value = parse(value)
+        elif not (value is None and DEFAULTS[command][name] is None):
+            test, kind = _PARSED[parse]
+            if not test(value):
+                raise ValueError(f"{source} sets {name!r} to {value!r}, not {kind}")
         choices = keywords.get("choices")
         if choices is not None and value not in choices:
             raise ValueError(f"{source} sets {name!r} to {value!r}, not one of {choices}")

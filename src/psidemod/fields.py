@@ -383,15 +383,27 @@ def synthesis_basis(
     )
 
 
-def stack_from_basis(
-    basis: SynthesisBasis, errors: ErrorSchedule | None = None, seed=None
+def generate_stack(
+    truth: PhaseMap,
+    background,
+    contrast,
+    nominal_step,
+    n_frames,
+    errors: ErrorSchedule | None = None,
+    carrier: CarrierSpec | None = None,
+    noise_sigma=0.0,
+    seed=None,
 ) -> InterferogramStack:
-    """Synthesize one stack from a basis and a step-error schedule.
+    """Synthesize an N-frame stack from a truth wavefront.
 
-    Frame n is ``a + b*(C*cos(s_n) - S*sin(s_n))`` with ``C``, ``S`` the
-    basis cos/sin and ``s_n = n*w0 + eps_n``, i.e. ``a + b*cos(base + s_n)``.
-    Noise draws are those of :func:`generate_stack` for the same seed.
+    Frames follow the fringe model in the module docstring.  A requested
+    spatial carrier must exceed the maximum wavefront slope along the
+    carrier direction (finite-difference estimate), otherwise the carrier
+    cannot separate the signal from its conjugate and the call refuses.
+    Noise, when ``noise_sigma > 0``, is additive white Gaussian drawn from
+    a generator seeded with ``seed``; generation is bit-reproducible.
     """
+    basis = synthesis_basis(truth, background, contrast, nominal_step, n_frames, carrier, noise_sigma)
     n_frames = basis.n_frames
     if errors is None:
         errors = ErrorSchedule(np.zeros(n_frames))
@@ -400,6 +412,8 @@ def stack_from_basis(
             f"error schedule has {errors.n_frames} entries for a {n_frames}-frame stack"
         )
 
+    # frame n is a + b*(C*cos(s_n) - S*sin(s_n)) = a + b*cos(base + s_n),
+    # with C, S the basis cos/sin and s_n = n*w0 + eps_n
     rng = np.random.default_rng(seed) if basis.noise_sigma > 0.0 else None
     frames = np.empty((n_frames,) + basis.cos.shape)
     scratch = np.empty(basis.cos.shape)
@@ -422,30 +436,3 @@ def stack_from_basis(
         seed=int(seed) if isinstance(seed, (int, np.integer)) else None,
     )
     return InterferogramStack(frames, basis.nominal_step, meta)
-
-
-def generate_stack(
-    truth: PhaseMap,
-    background,
-    contrast,
-    nominal_step,
-    n_frames,
-    errors: ErrorSchedule | None = None,
-    carrier: CarrierSpec | None = None,
-    noise_sigma=0.0,
-    seed=None,
-) -> InterferogramStack:
-    """Synthesize an N-frame stack from a truth wavefront.
-
-    Frames follow the fringe model in the module docstring.  A requested
-    spatial carrier must exceed the maximum wavefront slope along the
-    carrier direction (finite-difference estimate), otherwise the carrier
-    cannot separate the signal from its conjugate and the call refuses.
-    Noise, when ``noise_sigma > 0``, is additive white Gaussian drawn from
-    a generator seeded with ``seed``; generation is bit-reproducible.
-
-    Equivalent to :func:`stack_from_basis` on :func:`synthesis_basis`; call
-    those two directly to synthesize many schedules of one truth.
-    """
-    basis = synthesis_basis(truth, background, contrast, nominal_step, n_frames, carrier, noise_sigma)
-    return stack_from_basis(basis, errors, seed)

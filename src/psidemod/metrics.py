@@ -6,20 +6,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carrier import SpectralMask, demodulate_spatial
+from .carrier import SpectralMask, _filtered_band, _guard_band
 from .errors import DegeneracyError, RefusalError
 from .fields import (
     TWO_PI,
     CarrierSpec,
+    ComplexField,
     PhaseMap,
     fold,
     make_error_schedule,
-    stack_from_basis,
     synthesis_basis,
     wrap,
 )
 from .conjugate import conjugate_amplitudes
-from .psa import PsaSpec, demodulate_temporal, field_phase
+from .psa import PsaSpec, _contract, field_phase
 
 # a piston-removed residual spanning nearly the full cycle means the
 # difference still contains wraps, which piston/tilt fitting cannot see past
@@ -180,7 +180,7 @@ def montecarlo_repeatability(
     noise_sigma: float = 0.0,
     crop: int | None = None,
 ) -> MonteCarloSummary:
-    """Repeat synthesize-demodulate-compare over freshly drawn error schedules.
+    """Repeat demodulate-compare over freshly drawn error schedules.
 
     Each trial draws its own step-error schedule (and noise when requested)
     from an independent child of ``seed``, demodulates with the chosen
@@ -189,6 +189,15 @@ def montecarlo_repeatability(
     the closed-form leak ratio of that trial's schedule.  Trials whose
     demodulation or comparison refuses are counted and reported, not
     silently dropped.  Identical seeds reproduce identical statistics.
+
+    Trials are evaluated by superposition of the closed form: the temporal
+    field is exactly ``A1 e^{i psi} + A2 e^{-i psi} + a H(0)`` with ``psi`` =
+    truth + carrier, and the spatial chain is linear, so the three basis
+    fields go through it once per call and each trial weights them with its
+    own (A1, A2).  Per trial stay the schedule, the noise (drawn as
+    :func:`generate_stack` draws it, then contracted and filtered on its
+    own), the spatial refusals (read from the superposed in-band spectrum)
+    and the compare; each matches synthesis plus demodulation to round-off.
 
     ``method`` is ``temporal`` (phase of the temporal field, artifact
     included) or ``spatial`` (carrier removal plus low-pass; requires a
@@ -201,6 +210,7 @@ def montecarlo_repeatability(
     if trials < 2:
         raise ValueError(f"need at least 2 trials for repeatability, got {trials}")
 
+    reference = truth.values
     if method == "spatial":
         if carrier is None:
             raise ValueError("spatial method requires a carrier")
@@ -208,15 +218,13 @@ def montecarlo_repeatability(
             mask = SpectralMask.for_carrier(carrier)
         if crop is None:
             crop = mask.border_crop
-    elif crop is None:
-        crop = 0
-
-    if carrier is not None:
-        reference_values = truth.values + carrier.phase_field(truth.shape)
     else:
-        reference_values = truth.values
-    temporal_reference = PhaseMap(wrap(reference_values), wrapped=True)
-    truth_wrapped = PhaseMap(wrap(truth.values), wrapped=True)
+        if crop is None:
+            crop = 0
+        if carrier is not None:
+            # the temporal phase still carries the carrier
+            reference = reference + carrier.phase_field(truth.shape)
+    reference = PhaseMap(wrap(reference), wrapped=True)
 
     # truth and carrier are fixed, so every trial shares one synthesis basis;
     # a slope refusal of that basis fails each trial as generate_stack would
@@ -227,6 +235,19 @@ def montecarlo_repeatability(
         refusal = None
     except RefusalError as exc:
         basis, refusal = None, str(exc)
+    else:
+        taps = spec.combined_taps()
+        background_gain = basis.background * complex(np.sum(taps))
+
+        def chain(field):
+            """In-band spectrum bins (none for temporal) and demodulated field."""
+            if method == "spatial":
+                return _filtered_band(field, carrier, mask)
+            return np.zeros(0, dtype=np.complex128), field
+
+        # e^{i psi}, e^{-i psi} and the background, each once through the chain
+        unit = (basis.cos + 1j * basis.sin, basis.cos - 1j * basis.sin, np.ones(truth.shape))
+        bands, fields = map(np.stack, zip(*map(chain, unit)))
 
     children = np.random.SeedSequence(seed).spawn(trials)
     pvs, ratios, failures = [], [], []
@@ -239,24 +260,29 @@ def montecarlo_repeatability(
             nominal_step=spec.nominal_step,
             seed=schedule_seed,
         )
-        ratio = conjugate_amplitudes(spec, schedule, contrast).leak_ratio
+        pair = conjugate_amplitudes(spec, schedule, contrast)
         if refusal is not None:
             failures.append((index, refusal))
             continue
+        weights = np.array([pair.a1, pair.a2, background_gain])
+        band, field = weights @ bands, np.tensordot(weights, fields, 1)
+        if basis.noise_sigma > 0.0:
+            # the noise frames generate_stack adds for this seed, contracted
+            rng = np.random.default_rng(noise_seed)
+            noise = rng.normal(0.0, basis.noise_sigma, size=(spec.n_steps,) + truth.shape)
+            noise_band, noise_field = chain(_contract(noise, taps))
+            band += noise_band
+            field += noise_field
         try:
-            stack = stack_from_basis(basis, schedule, noise_seed)
-            if method == "temporal":
-                phase, _ = field_phase(demodulate_temporal(stack, spec))
-                diff = wrapped_diff(phase, temporal_reference)
-            else:
-                phase, _, _ = demodulate_spatial(stack, spec, carrier=carrier, mask=mask)
-                diff = wrapped_diff(phase, truth_wrapped)
-            _, report = remove_piston_tilt(diff, crop=crop)
+            if method == "spatial":
+                _guard_band(band, truth.shape, carrier, mask)
+            phase, _ = field_phase(ComplexField(field))
+            _, report = remove_piston_tilt(wrapped_diff(phase, reference), crop=crop)
         except (RefusalError, DegeneracyError) as exc:
             failures.append((index, str(exc)))
             continue
         pvs.append(report.pv)
-        ratios.append(ratio)
+        ratios.append(pair.leak_ratio)
 
     if pvs:
         levels = (50, 90, 95, 99)

@@ -174,16 +174,20 @@ def demodulate_temporal(stack: InterferogramStack, spec: PsaSpec) -> ComplexFiel
             f"algorithm nominal step {spec.nominal_step!r} does not match "
             f"stack nominal step {stack.nominal_step!r}"
         )
+    return ComplexField(_contract(stack.frames, spec.combined_taps()))
+
+
+def _contract(frames: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """sum_n taps[n] * frames[n] over real frames of shape (N, height, width)."""
     # the frames are real, so one real matmul (HW x N) @ (N x 2) gives the
     # interleaved real and imaginary parts of S directly in complex layout
-    taps = spec.combined_taps()
-    values = np.empty(stack.shape, dtype=np.complex128)
+    values = np.empty(frames.shape[1:], dtype=np.complex128)
     np.matmul(
-        stack.frames.reshape(stack.n_frames, -1).T,
+        frames.reshape(frames.shape[0], -1).T,
         np.stack([taps.real, taps.imag], axis=1),
         out=values.view(np.float64).reshape(-1, 2),
     )
-    return ComplexField(values)
+    return values
 
 
 def field_phase(field: ComplexField):

@@ -573,6 +573,13 @@ def test_config_strings_go_through_the_flag_parser(tmp_path, key, text, parsed):
         ({"preview": "false"}, "config file sets switch 'preview'"),
         ({"wavefront": "sphere"}, "config file sets 'wavefront' to 'sphere', not one of"),
         ([[1, 2]], "cfg.json holds a JSON list, not an object"),
+        # values that are not strings skip the parsers, so they are type-checked
+        ({"width": 32.5}, "config file sets 'width' to 32.5, not an integer"),
+        ({"frames": True}, "config file sets 'frames' to True, not an integer"),
+        ({"amplitude": [1.0]}, "config file sets 'amplitude' to [1.0], not a number"),
+        ({"carrier": [0.7]}, "config file sets 'carrier' to [0.7], not null or a [u0, v0] pair"),
+        ({"errors": 0.3}, "config file sets 'errors' to 0.3, not a string"),
+        ({"contrast": None}, "config file sets 'contrast' to None, not a number"),
     ],
 )
 def test_config_malformed_values_refused(tmp_path, payload, message):
@@ -586,6 +593,7 @@ def test_config_malformed_values_refused(tmp_path, payload, message):
     assert code == 2
     assert message in err
     assert not (out / "frame_000.pgm").exists()
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -593,6 +601,8 @@ def test_config_malformed_values_refused(tmp_path, payload, message):
     [
         ([1, 2], "m.json holds a JSON list, not an object"),
         ({"command": "simulate", "parameters": [1]}, "manifest must be a JSON object"),
+        ({"command": "simulate", "parameters": {"height": 32.5}},
+         "manifest sets 'height' to 32.5, not an integer"),
     ],
 )
 def test_replay_of_a_malformed_manifest_refused(tmp_path, manifest, message):

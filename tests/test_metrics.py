@@ -1,10 +1,15 @@
 """Residual reporting and Monte-Carlo repeatability."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psidemod as p
-from psidemod.errors import RefusalError
+from psidemod import metrics
+from psidemod.errors import DegeneracyError, RefusalError
 
 from conftest import make_bandlimited, make_ramp
 
@@ -212,24 +217,45 @@ def test_montecarlo_records_failures_without_aborting(sh5):
         assert isinstance(message, str) and message
 
 
-def _reference_trial_pvs(truth, spec, method, carrier, mask, crop, noise_sigma, trials, seed):
-    """Per-trial P-V the slow way: one generate_stack call per trial."""
-    reference = truth.values if method == "spatial" else truth.values + carrier.phase_field(truth.shape)
+def _pipeline_trials(truth, spec, method, carrier, mask, crop, noise_sigma, trials, seed,
+                     error_kind="uniform", magnitude=0.3):
+    """Every trial the slow way, one generate_stack and demodulate_* call each.
+
+    Returns the demodulated field of each trial that got that far, the P-V of
+    each trial that passed, and the (index, reason) of each that refused.
+    """
+    reference = truth.values
+    if method == "temporal" and carrier is not None:
+        reference = reference + carrier.phase_field(truth.shape)
     reference = p.PhaseMap(p.wrap(reference), wrapped=True)
-    pvs = []
-    for child in np.random.SeedSequence(seed).spawn(trials):
+    fields, pvs, failures = [], [], []
+    for index, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         schedule_seed, noise_seed = child.spawn(2)
-        schedule = p.make_error_schedule("uniform", 5, 0.3, nominal_step=spec.nominal_step,
-                                         seed=schedule_seed)
-        stack = p.generate_stack(truth, 128.0, 100.0, spec.nominal_step, 5, errors=schedule,
-                                 carrier=carrier, noise_sigma=noise_sigma, seed=noise_seed)
-        if method == "spatial":
-            phase, _, _ = p.demodulate_spatial(stack, spec, carrier=carrier, mask=mask)
-        else:
-            phase, _ = p.field_phase(p.demodulate_temporal(stack, spec))
-        _, report = p.remove_piston_tilt(p.wrapped_diff(phase, reference), crop=crop)
+        schedule = p.make_error_schedule(error_kind, spec.n_steps, magnitude=magnitude,
+                                         nominal_step=spec.nominal_step, seed=schedule_seed)
+        try:
+            stack = p.generate_stack(truth, 128.0, 100.0, spec.nominal_step, spec.n_steps,
+                                     errors=schedule, carrier=carrier, noise_sigma=noise_sigma,
+                                     seed=noise_seed)
+            if method == "spatial":
+                _, field, _ = p.demodulate_spatial(stack, spec, carrier=carrier, mask=mask)
+            else:
+                field = p.demodulate_temporal(stack, spec)
+            fields.append(field)
+            phase, _ = p.field_phase(field)
+            _, report = p.remove_piston_tilt(p.wrapped_diff(phase, reference), crop=crop)
+        except (RefusalError, DegeneracyError) as exc:
+            failures.append((index, str(exc)))
+            continue
         pvs.append(report.pv)
-    return pvs
+    return fields, pvs, failures
+
+
+def _montecarlo_fields(truth, spec, **kwargs):
+    """montecarlo_repeatability, and the field each trial handed to field_phase."""
+    with mock.patch.object(metrics, "field_phase", wraps=p.field_phase) as spy:
+        summary = p.montecarlo_repeatability(truth, spec, **kwargs)
+    return summary, [call.args[0] for call in spy.call_args_list]
 
 
 @pytest.mark.parametrize("method", ["temporal", "spatial"])
@@ -243,8 +269,75 @@ def test_montecarlo_basis_reuse_matches_per_trial_synthesis(sh5, method):
         error_magnitude=0.3, trials=6, seed=17, noise_sigma=0.5, crop=crop,
     )
     assert summary.n_failed == 0
-    expected = _reference_trial_pvs(truth, sh5, method, carrier, mask, crop, 0.5, 6, 17)
+    _, expected, _ = _pipeline_trials(truth, sh5, method, carrier, mask, crop, 0.5, 6, 17)
     assert np.abs(np.array(summary.pv_waves) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["temporal", "spatial"])
+def test_montecarlo_superposition_matches_pipeline_on_criterion_6(sh5, method):
+    # criterion 6's configuration, every trial through both paths
+    truth = p.synthesize_wavefront("defocus", 3.0, (256, 256))
+    carrier = p.CarrierSpec(np.pi / 4, 0.0)
+    mask = p.SpectralMask(np.pi / 8) if method == "spatial" else None
+    crop = mask.border_crop if mask else 0
+    summary, fields = _montecarlo_fields(
+        truth, sh5, method=method, carrier=carrier, mask=mask, error_kind="uniform",
+        error_magnitude=0.3, trials=200, seed=20260815,
+    )
+    expected, pvs, failures = _pipeline_trials(truth, sh5, method, carrier, mask, crop, 0.0,
+                                               200, 20260815)
+    assert summary.failures == tuple(failures)
+    assert len(fields) == len(expected) == 200
+    worst = 0.0
+    for field, reference in zip(fields, expected):
+        phase, valid = p.field_phase(field)
+        slow, slow_valid = p.field_phase(reference)
+        both = valid & slow_valid
+        worst = max(worst, np.abs(p.wrapped_diff(phase, slow).values[both]).max())
+    assert worst <= 1e-12
+    assert np.abs(np.array(summary.pv_waves) - pvs).max() <= 1e-12
+
+
+# an FTF-zero design that leaves the background in: H(0) != 0 on 4 taps
+LEAKY = p.taps_from_zeros([np.pi / 2, np.pi / 2, 2.0], np.pi / 2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    height=st.integers(24, 64),
+    width=st.integers(24, 64),
+    angle=st.floats(0.0, 2 * np.pi),
+    speed=st.floats(0.9, 1.4),
+    amplitude=st.floats(0.5, 16.0),
+    spec=st.sampled_from([p.sh5_spec(), LEAKY]),
+    method=st.sampled_from(["temporal", "spatial"]),
+    with_carrier=st.booleans(),
+    magnitude=st.sampled_from([0.3, np.pi]),
+    noise_sigma=st.sampled_from([0.0, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_montecarlo_superposition_matches_pipeline(height, width, angle, speed, amplitude, spec,
+                                                   method, with_carrier, magnitude, noise_sigma,
+                                                   seed):
+    # any grid and carrier direction, +-pi schedules (r >= 1 occurs), taps that
+    # pass the background, noise on and off: same fields, P-V and refusals
+    truth = p.synthesize_wavefront("defocus", amplitude, (height, width))
+    carrier = p.CarrierSpec(speed * np.cos(angle), speed * np.sin(angle))
+    if method == "temporal" and not with_carrier:
+        carrier = None
+    mask = p.SpectralMask(speed / 2, border_crop=2) if method == "spatial" else None
+    summary, fields = _montecarlo_fields(
+        truth, spec, method=method, carrier=carrier, mask=mask, error_kind="uniform",
+        error_magnitude=magnitude, trials=3, seed=seed, noise_sigma=noise_sigma, crop=2,
+    )
+    expected, pvs, failures = _pipeline_trials(truth, spec, method, carrier, mask, 2, noise_sigma,
+                                               3, seed, magnitude=magnitude)
+    assert summary.failures == tuple(failures)
+    assert len(fields) == len(expected)
+    for field, reference in zip(fields, expected):
+        scale = np.abs(reference.values).max()
+        assert np.abs(field.values - reference.values).max() <= 1e-12 * scale
+    assert np.allclose(summary.pv_waves, pvs, rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("u0", [0.25, 0.5])
