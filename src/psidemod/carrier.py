@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, RefusalError
-from .fields import TWO_PI, CarrierSpec, ComplexField, InterferogramStack, PhaseMap
+from .fields import TWO_PI, CarrierSpec, ComplexField, InterferogramStack, PhaseMap, _Owned
 from .psa import PsaSpec, demodulate_temporal, field_phase
 
 # spectral magnitude at this fraction of the signal peak still counts as
@@ -68,7 +68,7 @@ def _keep_disc(spectrum: np.ndarray, cutoff: float) -> ComplexField:
             stacklevel=3,
         )
     spectrum[~inside] = 0.0
-    return ComplexField(np.fft.ifft2(spectrum))
+    return ComplexField(_Owned(np.fft.ifft2(spectrum)))
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def remove_carrier(field: ComplexField, carrier: CarrierSpec) -> ComplexField:
     height, width = field.shape
     values = field.values * np.exp(-1j * carrier.u0 * np.arange(width, dtype=np.float64))
     values *= np.exp(-1j * carrier.v0 * np.arange(height, dtype=np.float64))[:, None]
-    return ComplexField(values)
+    return ComplexField(_Owned(values))
 
 
 def lowpass(field: ComplexField, mask: SpectralMask) -> ComplexField:

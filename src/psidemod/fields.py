@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RefusalError
+from .errors import DegeneracyError, RefusalError
 
 TWO_PI = 2.0 * np.pi
 
@@ -55,15 +55,31 @@ def _freeze(obj, name, array):
     object.__setattr__(obj, name, array)
 
 
+class _Owned:
+    """An array the library just computed and hands over with no other
+    reference kept: constructors check and freeze it instead of copying it."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _validated(values, dtype, what, min_shape) -> np.ndarray:
-    """A private copy of ``values`` with one axis per entry of ``min_shape``,
-    each at least that long, and only finite entries."""
-    v = np.array(values, dtype=dtype, copy=True)
+    """A private copy of ``values`` (or the array of an :class:`_Owned`) with
+    one axis per entry of ``min_shape``, each at least that long, and only
+    finite entries; an owned non-finite array is an overflow, so degenerate."""
+    owned = isinstance(values, _Owned)
+    v = np.asarray(values.array, dtype=dtype) if owned else np.array(values, dtype=dtype, copy=True)
     if v.ndim != len(min_shape) or any(n < m for n, m in zip(v.shape, min_shape)):
         raise ValueError(
             f"{what} must be {len(min_shape)}D with shape at least {min_shape}, got shape {v.shape}"
         )
     if not np.all(np.isfinite(v)):
+        if owned:
+            raise DegeneracyError(
+                f"{what} of shape {v.shape} computed from finite input overflowed to non-finite values"
+            )
         raise ValueError(f"{what} of shape {v.shape} contains non-finite values")
     return v
 
@@ -435,4 +451,4 @@ def generate_stack(
         noise_sigma=basis.noise_sigma,
         seed=int(seed) if isinstance(seed, (int, np.integer)) else None,
     )
-    return InterferogramStack(frames, basis.nominal_step, meta)
+    return InterferogramStack(_Owned(frames), basis.nominal_step, meta)

@@ -13,6 +13,7 @@ from .fields import (
     CarrierSpec,
     ComplexField,
     PhaseMap,
+    _Owned,
     fold,
     make_error_schedule,
     synthesis_basis,
@@ -53,7 +54,7 @@ def wrapped_diff(first: PhaseMap, second: PhaseMap) -> PhaseMap:
     diff = first.values - second.values
     # two wrapped maps differ by less than one period beyond [-pi, pi)
     diff = fold(diff) if first.wrapped and second.wrapped else wrap(diff)
-    return PhaseMap(diff, wrapped=True)
+    return PhaseMap(_Owned(diff), wrapped=True)
 
 
 def _interior(shape, crop):
@@ -66,10 +67,6 @@ def _interior(shape, crop):
     return slice(crop, height - crop), slice(crop, width - crop)
 
 
-def _circular_mean(values: np.ndarray) -> float:
-    return float(np.arctan2(np.sin(values).sum(), np.cos(values).sum()))
-
-
 def remove_piston_tilt(diff: PhaseMap, crop: int = 0, tilt: bool = True):
     """Remove the best-fit piston (and optionally tilt) from a phase difference.
 
@@ -78,6 +75,12 @@ def remove_piston_tilt(diff: PhaseMap, crop: int = 0, tilt: bool = True):
     so the piston and tilt estimates decouple exactly and reapplying the
     function is the identity up to rounding.  All fitting and statistics
     use the interior only; the returned residual covers the full grid.
+
+    One trig pass: cos and sin of the interior give the first piston, and
+    the second piston, taken after the plane, is the separable sum
+    ``e^{-i p1} sum_y e^{-i beta y} sum_x (cos + i sin) e^{-i alpha x}``
+    of the same two arrays.  The plane comes from row and column sums, and
+    plane and second piston are subtracted before the one final wrap.
 
     Refuses when the piston-removed interior still spans nearly the full
     cycle: the difference then contains genuine wraps and a piston/tilt
@@ -89,8 +92,11 @@ def remove_piston_tilt(diff: PhaseMap, crop: int = 0, tilt: bool = True):
         Wrapped residual and the removed-term report with interior pv/rms.
     """
     rows, cols = _interior(diff.shape, crop)
-    piston1 = _circular_mean(diff.values[rows, cols])
-    leveled = wrap(diff.values - piston1)
+    cos, sin = np.cos(diff.values[rows, cols]), np.sin(diff.values[rows, cols])
+    piston1 = float(np.arctan2(sin.sum(), cos.sum()))
+    leveled = diff.values - piston1
+    # a wrapped map and its circular mean both lie in [-pi, pi]
+    leveled = fold(leveled) if diff.wrapped else wrap(leveled)
 
     interior = leveled[rows, cols]
     span = float(interior.max() - interior.min())
@@ -100,19 +106,27 @@ def remove_piston_tilt(diff: PhaseMap, crop: int = 0, tilt: bool = True):
             "cycle: the difference still wraps, so piston/tilt removal is ill-defined"
         )
 
+    height, width = diff.shape
+    x = np.arange(width, dtype=np.float64) - np.mean(np.arange(width)[cols])
+    y = np.arange(height, dtype=np.float64) - np.mean(np.arange(height)[rows])
+    x_in, y_in = x[cols], y[rows]
     alpha = beta = 0.0
     if tilt:
-        height, width = diff.shape
-        x = np.arange(width, dtype=np.float64) - np.mean(np.arange(width)[cols])
-        y = np.arange(height, dtype=np.float64) - np.mean(np.arange(height)[rows])
-        x_in = x[cols]
-        y_in = y[rows]
-        alpha = float(np.sum(interior * x_in[None, :]) / (np.sum(x_in**2) * interior.shape[0]))
-        beta = float(np.sum(interior * y_in[:, None]) / (np.sum(y_in**2) * interior.shape[1]))
-        leveled = leveled - alpha * x[None, :] - beta * y[:, None]
+        alpha = float(interior.sum(axis=0) @ x_in / (np.sum(x_in**2) * interior.shape[0]))
+        beta = float(interior.sum(axis=1) @ y_in / (np.sum(y_in**2) * interior.shape[1]))
 
-    piston2 = _circular_mean(leveled[rows, cols])
-    residual = wrap(leveled - piston2)
+    # rows of (cos + i sin) e^{-i alpha x} by real matrix-vector products
+    # (a matrix-matrix product would touch BLAS packing buffers, raising RSS)
+    ex = np.exp(-1j * alpha * x_in)
+    row_sums = (cos @ ex.real - sin @ ex.imag) + 1j * (cos @ ex.imag + sin @ ex.real)
+    total = np.exp(-1j * piston1) * (np.exp(-1j * beta * y_in) @ row_sums)
+    piston2 = float(np.angle(total))
+    # free the interior-sized arrays before the full-size wrap and std
+    del cos, sin
+
+    leveled -= alpha * x[None, :]
+    leveled -= (beta * y + piston2)[:, None]
+    residual = wrap(leveled)
     piston = float(wrap(piston1 + piston2))
 
     res_in = residual[rows, cols]
@@ -123,7 +137,7 @@ def remove_piston_tilt(diff: PhaseMap, crop: int = 0, tilt: bool = True):
         tilt_removed=(alpha, beta),
         crop=int(crop),
     )
-    return PhaseMap(residual, wrapped=True), report
+    return PhaseMap(_Owned(residual), wrapped=True), report
 
 
 def pv_rms(phase_map: PhaseMap, crop: int = 0):
@@ -276,7 +290,7 @@ def montecarlo_repeatability(
         try:
             if method == "spatial":
                 _guard_band(band, truth.shape, carrier, mask)
-            phase, _ = field_phase(ComplexField(field))
+            phase, _ = field_phase(ComplexField(_Owned(field)))
             _, report = remove_piston_tilt(wrapped_diff(phase, reference), crop=crop)
         except (RefusalError, DegeneracyError) as exc:
             failures.append((index, str(exc)))

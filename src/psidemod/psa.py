@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RefusalError
-from .fields import TWO_PI, ComplexField, InterferogramStack, PhaseMap, wrap
+from .fields import TWO_PI, ComplexField, InterferogramStack, PhaseMap, _Owned, wrap
 
 # a coefficient vector counts as real when its imaginary part is at this
 # relative level; as background-rejecting when |H(0)| is
@@ -163,7 +163,8 @@ def demodulate_temporal(stack: InterferogramStack, spec: PsaSpec) -> ComplexFiel
     Returns the complex analytic field S = sum_n c_n exp(-i n w0) I(n).
     For the error-free model, S = A1 exp(i phi) with A1 = (b/2) sum c_n
     whenever the algorithm rejects background; with step errors eps_n a
-    conjugate term A2 exp(-i phi) appears alongside.
+    conjugate term A2 exp(-i phi) appears alongside.  Finite frames whose
+    contraction overflows raise ``DegeneracyError``.
     """
     if spec.n_steps != stack.n_frames:
         raise RefusalError(
@@ -174,19 +175,21 @@ def demodulate_temporal(stack: InterferogramStack, spec: PsaSpec) -> ComplexFiel
             f"algorithm nominal step {spec.nominal_step!r} does not match "
             f"stack nominal step {stack.nominal_step!r}"
         )
-    return ComplexField(_contract(stack.frames, spec.combined_taps()))
+    return ComplexField(_Owned(_contract(stack.frames, spec.combined_taps())))
 
 
 def _contract(frames: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """sum_n taps[n] * frames[n] over real frames of shape (N, height, width)."""
     # the frames are real, so one real matmul (HW x N) @ (N x 2) gives the
-    # interleaved real and imaginary parts of S directly in complex layout
+    # interleaved real and imaginary parts of S directly in complex layout;
+    # an overflow leaves inf or nan behind, which the constructor refuses
     values = np.empty(frames.shape[1:], dtype=np.complex128)
-    np.matmul(
-        frames.reshape(frames.shape[0], -1).T,
-        np.stack([taps.real, taps.imag], axis=1),
-        out=values.view(np.float64).reshape(-1, 2),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(
+            frames.reshape(frames.shape[0], -1).T,
+            np.stack([taps.real, taps.imag], axis=1),
+            out=values.view(np.float64).reshape(-1, 2),
+        )
     return values
 
 
@@ -212,4 +215,4 @@ def field_phase(field: ComplexField):
     phase = np.angle(field.values)
     phase[phase == np.pi] = -np.pi
     phase[~valid] = 0.0
-    return PhaseMap(phase, wrapped=True), valid
+    return PhaseMap(_Owned(phase), wrapped=True), valid

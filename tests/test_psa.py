@@ -1,10 +1,12 @@
 """Algorithm specs, frequency transfer functions, and temporal demodulation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import psidemod as p
-from psidemod.errors import RefusalError
+from psidemod.errors import DegeneracyError, RefusalError
 
 
 def test_sh5_taps_and_step(sh5):
@@ -191,3 +193,14 @@ def test_demodulate_temporal_matches_complex_contraction(defocus_truth):
     expected = np.tensordot(spec.combined_taps(), stack.frames.astype(complex), axes=1)
     got = p.demodulate_temporal(stack, spec).values
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_overflowing_contraction_is_degenerate_without_a_warning(sh5):
+    # finite frames whose tap sums leave float64: sh5 adds 1e308 four times
+    frames = np.full((5, 8, 8), 1e308)
+    frames[2] *= -1.0
+    stack = p.InterferogramStack(frames, np.pi / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneracyError, match="overflowed to non-finite"):
+            p.demodulate_temporal(stack, sh5)

@@ -1,0 +1,74 @@
+"""Run the standard CLI command set and print one sha256 per output file.
+
+Usage, from the repository root:
+
+    python3 tools/output_digest.py                 # this checkout's src/
+    python3 tools/output_digest.py --src OTHER/src  # another checkout
+
+Each command runs as ``python -m psidemod.cli`` in a fresh temporary
+directory with relative paths, so the digests do not depend on where the
+directory lives.  Two runs of one checkout must print identical lists
+(replay determinism); diffing the lists of two checkouts shows which output
+files a change altered:
+
+    diff <(python3 tools/output_digest.py --src PARENT/src) <(python3 tools/output_digest.py)
+
+Exits 1 when a command fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (output directory, CLI arguments); later commands may read earlier outputs
+COMMANDS = (
+    ("simulate-fig1", ["simulate", "--preset", "fig1"]),
+    ("demod-fig8", ["demod", "--preset", "fig8"]),
+    ("demod-fig9", ["demod", "--preset", "fig9"]),
+    ("demod-spatial-128", ["demod", "--preset", "fig9", "--width", "128", "--height", "128",
+                           "--line-cut-row", "64", "--compare-truth"]),
+    ("compare-tilt", ["compare", "--phase1", "demod-spatial-128/phase.json",
+                      "--phase2", "demod-spatial-128/truth.json",
+                      "--crop", "8", "--pgm", "--gain", "4"]),
+    ("compare-no-tilt", ["compare", "--phase1", "demod-spatial-128/phase.json",
+                         "--phase2", "demod-spatial-128/truth.json", "--no-tilt"]),
+    ("montecarlo-spatial", ["montecarlo", "--method", "spatial", "--width", "64",
+                            "--height", "64", "--carrier", "0.8,0.3", "--cutoff", "0.35",
+                            "--border-crop", "6", "--trials", "20", "--seed", "3"]),
+    ("ftf-fig2", ["ftf", "--preset", "fig2"]),
+)
+
+
+def digests(src: Path) -> list[str]:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    with tempfile.TemporaryDirectory() as tmp:
+        for out, args in COMMANDS:
+            run = subprocess.run([sys.executable, "-m", "psidemod.cli", *args, "--out", out],
+                                 cwd=tmp, env=env, capture_output=True, text=True)
+            if run.returncode != 0:
+                sys.exit(f"output_digest: '{' '.join(args)}' exited {run.returncode}: "
+                         f"{run.stderr.strip()}")
+        files = sorted(p for p in Path(tmp).rglob("*") if p.is_file())
+        return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(tmp).as_posix()}"
+                for p in files]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the src/ directory whose psidemod runs (default: this checkout's)")
+    args = parser.parse_args(argv)
+    print("\n".join(digests(args.src.resolve())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
