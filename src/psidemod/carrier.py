@@ -9,6 +9,9 @@ carrier frequency; an ideal low-pass filter then removes the conjugate (and
 any residual background) without ever estimating the step errors that
 created them.  Spectral coordinates are radians per pixel: FFT bin k of an
 L-pixel axis sits at 2 pi k / L, negative frequencies in the upper half.
+
+Spatial demodulation and the Monte-Carlo superposition share that chain,
+:func:`_spectral_chain`, and take every disc from one cache, :func:`_disc`.
 """
 
 from __future__ import annotations
@@ -33,22 +36,14 @@ _SLOPE_MARGIN = 0.95
 _EXCLUSION_RADIUS = 2.0
 
 
-@functools.lru_cache(maxsize=4)
-def _freq_radius(shape):
-    """Radial frequency of every FFT bin, rad/px; cached per shape, read-only."""
+@functools.lru_cache(maxsize=8)
+def _disc(shape, radius):
+    """FFT bins within ``radius`` rad/px of the origin and their radial
+    frequencies in row-major order; cached per shape and radius, read-only."""
     height, width = shape
     ky = TWO_PI * np.fft.fftfreq(height)
     kx = TWO_PI * np.fft.fftfreq(width)
     rho = np.hypot(kx[None, :], ky[:, None])
-    rho.setflags(write=False)
-    return rho
-
-
-@functools.lru_cache(maxsize=8)
-def _disc(shape, radius):
-    """FFT bins with radial frequency <= ``radius`` rad/px, and the radial
-    frequencies of those bins; cached per shape and radius, read-only."""
-    rho = _freq_radius(shape)
     inside = rho <= radius
     radii = rho[inside]
     inside.setflags(write=False)
@@ -134,9 +129,10 @@ def estimate_carrier(field: ComplexField) -> CarrierSpec:
     Refuses when the spectrum is dominated by the excluded low-frequency
     region, i.e. there is no off-axis carrier lobe: for such data a spatial
     carrier exceeding the maximum wavefront slope would first have to be
-    introduced when recording.  Degenerate when a second lobe outside the
-    winner's neighborhood comes within 1% of its magnitude (ambiguous
-    carrier, e.g. a near-real field with mirrored lobes).
+    introduced when recording, and when the refined lobe reaches the Nyquist
+    radius pi, where +pi and -pi alias.  Degenerate when a second lobe
+    outside the winner's neighborhood comes within 1% of its magnitude
+    (ambiguous carrier, e.g. a near-real field with mirrored lobes).
     """
     height, width = field.shape
     spectrum = np.fft.fft2(field.values)
@@ -144,8 +140,7 @@ def estimate_carrier(field: ComplexField) -> CarrierSpec:
 
     bins_y = np.fft.fftfreq(height) * height
     bins_x = np.fft.fftfreq(width) * width
-    bin_radius = np.hypot(bins_x[None, :], bins_y[:, None])
-    excluded = bin_radius <= _EXCLUSION_RADIUS
+    excluded = np.hypot(bins_x[None, :], bins_y[:, None]) <= _EXCLUSION_RADIUS
 
     outside = np.where(excluded, 0.0, magnitude)
     peak_out = float(outside.max())
@@ -162,28 +157,25 @@ def estimate_carrier(field: ComplexField) -> CarrierSpec:
     # ambiguity check: a rival lobe outside the winner's 3x3 neighborhood
     rivals = outside.copy()
     rivals[(iy + np.array([-1, 0, 1]))[:, None] % height, (ix + np.array([-1, 0, 1]))[None, :] % width] = 0.0
-    rival_peak = float(rivals.max())
-    if rival_peak >= 0.99 * peak_out:
+    if rivals.max() >= 0.99 * peak_out:
         ry, rx = np.unravel_index(int(rivals.argmax()), rivals.shape)
         raise DegeneracyError(
             "ambiguous carrier: two spectral lobes within 1% magnitude, at bins "
             f"({bins_x[ix]:.0f}, {bins_y[iy]:.0f}) and ({bins_x[rx]:.0f}, {bins_y[ry]:.0f})"
         )
 
-    def refine(center, minus, plus):
+    def refine(minus, center, plus):
         denom = minus - 2.0 * center + plus
-        if denom == 0.0:
-            return 0.0
-        return 0.5 * (minus - plus) / denom
+        return 0.0 if denom == 0.0 else 0.5 * (minus - plus) / denom
 
-    shift_x = refine(
-        magnitude[iy, ix], magnitude[iy, (ix - 1) % width], magnitude[iy, (ix + 1) % width]
-    )
-    shift_y = refine(
-        magnitude[iy, ix], magnitude[(iy - 1) % height, ix], magnitude[(iy + 1) % height, ix]
-    )
-    u0 = TWO_PI * (bins_x[ix] + shift_x) / width
-    v0 = TWO_PI * (bins_y[iy] + shift_y) / height
+    # parabolic vertex through the peak and its two neighbors along each axis
+    u0 = TWO_PI * (bins_x[ix] + refine(*magnitude[iy, [ix - 1, ix, (ix + 1) % width]])) / width
+    v0 = TWO_PI * (bins_y[iy] + refine(*magnitude[[iy - 1, iy, (iy + 1) % height], ix])) / height
+    if math.hypot(u0, v0) >= np.pi:
+        raise RefusalError(
+            f"carrier lobe at ({u0:.6g}, {v0:.6g}) rad/px sits at or beyond the Nyquist "
+            "limit, where +pi and -pi alias: the sign of the lobe is ambiguous"
+        )
     return CarrierSpec(u0, v0)
 
 
@@ -215,13 +207,22 @@ class SpatialDiagnostics:
         }
 
 
-def _filtered_band(field: np.ndarray, carrier: CarrierSpec, mask: SpectralMask):
-    """The linear part of :func:`spatial_from_temporal` on one field: its
-    carrier-removed spectrum bins inside the carrier disc, and its filtered field."""
-    spectrum = np.fft.fft2(remove_carrier(ComplexField(field), carrier).values)
+def _spectral_chain(field, carrier, mask, apply_filter=True, guard=False):
+    """The linear part of :func:`spatial_from_temporal` on one ComplexField:
+    remove the carrier, transform once, take the bins inside the carrier disc,
+    then zero the bins outside the mask disc and transform back, or keep the
+    carrier-removed field when not ``apply_filter``.  With ``guard``,
+    :func:`_guard_band` refuses on the in-band bins before the inverse could
+    warn.  Returns in-band bins, bandwidth (None unguarded) and field."""
+    centered = remove_carrier(field, carrier)
+    spectrum = np.fft.fft2(centered.values)
     in_band, _ = _disc(spectrum.shape, carrier.magnitude)
     band = spectrum[in_band]
-    return band, _keep_disc(spectrum, mask.cutoff).values
+    bandwidth = _guard_band(band, spectrum.shape, carrier, mask, apply_filter) if guard else None
+    if not apply_filter:
+        return band, bandwidth, centered
+    del centered
+    return band, bandwidth, _keep_disc(spectrum, mask.cutoff)
 
 
 def _guard_band(in_band: np.ndarray, shape, carrier: CarrierSpec, mask: SpectralMask,
@@ -322,18 +323,13 @@ def spatial_from_temporal(
     if mask is None:
         mask = SpectralMask.for_carrier(carrier)
 
-    centered = remove_carrier(temporal, carrier)
-    spectrum = np.fft.fft2(centered.values)
-    in_band, _ = _disc(centered.shape, carrier.magnitude)
-    bandwidth = _guard_band(spectrum[in_band], centered.shape, carrier, mask, apply_filter)
-
-    magnitude = np.abs(spectrum)
-    admitted, _ = _disc(centered.shape, mask.cutoff)
-    total_energy = float(np.sum(magnitude**2))
-    out_band = admitted & (_freq_radius(centered.shape) > bandwidth)
-    out_of_band = float(np.sum(magnitude[out_band] ** 2) / total_energy)
-
-    filtered = _keep_disc(spectrum, mask.cutoff) if apply_filter else centered
+    band, bandwidth, filtered = _spectral_chain(temporal, carrier, mask, apply_filter, guard=True)
+    # the guarded cutoff disc lies inside the carrier disc, and carrier removal
+    # keeps the modulus, so the total spectral energy is N * sum |temporal|^2
+    _, radii = _disc(temporal.shape, carrier.magnitude)
+    admitted = band[(radii <= mask.cutoff) & (radii > bandwidth)]
+    total_energy = temporal.values.size * np.vdot(temporal.values, temporal.values).real
+    out_of_band = float(np.sum(np.abs(admitted) ** 2) / total_energy)
 
     phase, valid = field_phase(filtered)
     diagnostics = SpatialDiagnostics(

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carrier import SpectralMask, _filtered_band, _guard_band
+from .carrier import SpectralMask, _guard_band, _spectral_chain
 from .errors import DegeneracyError, RefusalError
 from .fields import (
     TWO_PI,
@@ -256,7 +256,8 @@ def montecarlo_repeatability(
         def chain(field):
             """In-band spectrum bins (none for temporal) and demodulated field."""
             if method == "spatial":
-                return _filtered_band(field, carrier, mask)
+                band, _, filtered = _spectral_chain(ComplexField(_Owned(field)), carrier, mask)
+                return band, filtered.values
             return np.zeros(0, dtype=np.complex128), field
 
         # e^{i psi}, e^{-i psi} and the background, each once through the chain

@@ -47,11 +47,15 @@ def test_remove_carrier_matches_two_dimensional_exponential():
 
 
 def test_frequency_radius_cached_read_only():
-    from psidemod.carrier import _freq_radius
+    from psidemod.carrier import _disc
 
-    rho = _freq_radius((6, 8))
-    assert rho is _freq_radius((6, 8))
-    assert not rho.flags.writeable
+    # an unbounded disc holds every bin, its radii in row-major order
+    inside, radii = _disc((6, 8), np.inf)
+    again = _disc((6, 8), np.inf)
+    assert again[0] is inside and again[1] is radii
+    assert not inside.flags.writeable and not radii.flags.writeable
+    assert inside.all() and radii.shape == (48,)
+    rho = radii.reshape(6, 8)
     assert rho[0, 0] == 0.0 and rho[3, 0] == pytest.approx(np.pi)
 
 
@@ -153,6 +157,15 @@ def test_estimate_carrier_refuses_baseband_field():
     baseband = p.ComplexField(np.exp(1j * truth.values))
     with pytest.raises(RefusalError):
         p.estimate_carrier(baseband)
+
+
+@pytest.mark.parametrize("u, v", [(1.0, 0.0), (1.0, 1.0), (0.975, 0.0)])
+def test_estimate_carrier_refuses_lobe_at_nyquist(u, v):
+    # at the Nyquist bin +pi and -pi alias, and the parabolic refinement
+    # wraps across it: the lobe's sign cannot be told
+    field = tone_field((16, 16), u * np.pi, v * np.pi)
+    with pytest.raises(RefusalError, match="Nyquist"):
+        p.estimate_carrier(field)
 
 
 def test_estimate_carrier_ambiguous_on_real_cosine():

@@ -28,13 +28,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# the fig9 spatial demod shrunk to 128x128, with the line cut moved inside the grid
+FIG9_128 = ["demod", "--preset", "fig9", "--width", "128", "--height", "128",
+            "--line-cut-row", "64"]
+
 # (output directory, CLI arguments); later commands may read earlier outputs
 COMMANDS = (
     ("simulate-fig1", ["simulate", "--preset", "fig1"]),
     ("demod-fig8", ["demod", "--preset", "fig8"]),
     ("demod-fig9", ["demod", "--preset", "fig9"]),
-    ("demod-spatial-128", ["demod", "--preset", "fig9", "--width", "128", "--height", "128",
-                           "--line-cut-row", "64", "--compare-truth"]),
+    ("demod-spatial-128", [*FIG9_128, "--compare-truth"]),
+    ("demod-estimate-128", [*FIG9_128, "--demod-carrier", "estimate"]),
+    ("demod-no-filter-128", [*FIG9_128, "--no-filter"]),
     ("compare-tilt", ["compare", "--phase1", "demod-spatial-128/phase.json",
                       "--phase2", "demod-spatial-128/truth.json",
                       "--crop", "8", "--pgm", "--gain", "4"]),
