@@ -12,6 +12,9 @@ L-pixel axis sits at 2 pi k / L, negative frequencies in the upper half.
 
 Spatial demodulation and the Monte-Carlo superposition share that chain,
 :func:`_spectral_chain`, and take every disc from one cache, :func:`_disc`.
+Both it and :func:`lowpass` transform only the columns of the disc they read
+and invert only the rows of the cutoff disc, in ``fft2``/``ifft2``'s own axis
+order, so every bin and field is bit-identical to the full-grid transforms.
 """
 
 from __future__ import annotations
@@ -38,32 +41,52 @@ _EXCLUSION_RADIUS = 2.0
 
 @functools.lru_cache(maxsize=8)
 def _disc(shape, radius):
-    """FFT bins within ``radius`` rad/px of the origin and their radial
-    frequencies in row-major order; cached per shape and radius, read-only."""
+    """FFT bins within ``radius`` rad/px of the origin: the rows and the
+    columns that hold any of them, the disc as a mask over that rows x
+    columns block, and the bins' radial frequencies in row-major order (the
+    order of a full-grid mask); cached per shape and radius, read-only."""
     height, width = shape
     ky = TWO_PI * np.fft.fftfreq(height)
     kx = TWO_PI * np.fft.fftfreq(width)
-    rho = np.hypot(kx[None, :], ky[:, None])
+    rows = np.flatnonzero(np.abs(ky) <= radius)
+    cols = np.flatnonzero(np.abs(kx) <= radius)
+    rho = np.hypot(kx[cols][None, :], ky[rows][:, None])
     inside = rho <= radius
     radii = rho[inside]
-    inside.setflags(write=False)
-    radii.setflags(write=False)
-    return inside, radii
+    for array in (rows, cols, inside, radii):
+        array.setflags(write=False)
+    return rows, cols, inside, radii
+
+
+def _forward(values: np.ndarray, radius: float, out=None) -> np.ndarray:
+    """Transform every row of ``values`` into ``out`` (``values`` itself to
+    work in place), then only the columns that hold bins of the ``radius``
+    disc.  Those bins equal ``fft2``'s; the other columns stay row spectra."""
+    spectrum = np.fft.fft(values, axis=1, out=out)
+    _, cols, _, _ = _disc(spectrum.shape, radius)
+    block = spectrum[:, cols]
+    spectrum[:, cols] = np.fft.fft(block, axis=0, out=block)
+    return spectrum
 
 
 def _keep_disc(spectrum: np.ndarray, cutoff: float) -> ComplexField:
-    """Zero the bins of ``spectrum`` outside the cutoff disc, in place, and
-    transform back.  Warns when the disc admits only the DC bin, since the
-    filtered phase is then constant."""
-    inside, radii = _disc(spectrum.shape, cutoff)
+    """Transform back only the bins of a :func:`_forward` spectrum inside
+    the cutoff disc, reusing its buffer: zero it, write the inverse row
+    transforms of the disc's rows, then invert every column.  Warns when
+    the disc admits only the DC bin, since the filtered phase is then
+    constant."""
+    rows, cols, inside, radii = _disc(spectrum.shape, cutoff)
     if radii.size <= 1:
         warnings.warn(
             f"cutoff {cutoff:.6g} rad/px admits only the DC bin on a "
             f"{spectrum.shape[0]}x{spectrum.shape[1]} grid; the filtered phase is constant",
             stacklevel=3,
         )
-    spectrum[~inside] = 0.0
-    return ComplexField(_Owned(np.fft.ifft2(spectrum)))
+    kept = np.zeros((rows.size, spectrum.shape[1]), dtype=np.complex128)
+    kept[:, cols] = np.where(inside, spectrum[np.ix_(rows, cols)], 0.0)
+    spectrum.fill(0.0)
+    spectrum[rows] = np.fft.ifft(kept, axis=1, out=kept)
+    return ComplexField(_Owned(np.fft.ifft(spectrum, axis=0, out=spectrum)))
 
 
 @dataclass(frozen=True)
@@ -98,15 +121,17 @@ class SpectralMask:
 
 
 def remove_carrier(field: ComplexField, carrier: CarrierSpec) -> ComplexField:
-    """Translate the spectrum by multiplying with e^{-i(u0 x + v0 y)}.
+    """Translate the spectrum by multiplying with e^{-i(u0 x + v0 y)}."""
+    return ComplexField(_Owned(_centered(field.values, carrier)))
 
-    The carrier factor is separable, e^{-i u0 x} e^{-i v0 y}, so only two
-    1-D exponentials are evaluated.
-    """
-    height, width = field.shape
-    values = field.values * np.exp(-1j * carrier.u0 * np.arange(width, dtype=np.float64))
-    values *= np.exp(-1j * carrier.v0 * np.arange(height, dtype=np.float64))[:, None]
-    return ComplexField(_Owned(values))
+
+def _centered(values: np.ndarray, carrier: CarrierSpec) -> np.ndarray:
+    """``values`` times e^{-i(u0 x + v0 y)} in a fresh writable array; the
+    factor is separable, so only two 1-D exponentials are evaluated."""
+    height, width = values.shape
+    centered = values * np.exp(-1j * carrier.u0 * np.arange(width, dtype=np.float64))
+    centered *= np.exp(-1j * carrier.v0 * np.arange(height, dtype=np.float64))[:, None]
+    return centered
 
 
 def lowpass(field: ComplexField, mask: SpectralMask) -> ComplexField:
@@ -116,7 +141,7 @@ def lowpass(field: ComplexField, mask: SpectralMask) -> ComplexField:
     round-off.  Warns when the disc admits only the DC bin, since the
     filtered phase is then constant.
     """
-    return _keep_disc(np.fft.fft2(field.values), mask.cutoff)
+    return _keep_disc(_forward(field.values, mask.cutoff), mask.cutoff)
 
 
 def estimate_carrier(field: ComplexField) -> CarrierSpec:
@@ -209,19 +234,20 @@ class SpatialDiagnostics:
 
 def _spectral_chain(field, carrier, mask, apply_filter=True, guard=False):
     """The linear part of :func:`spatial_from_temporal` on one ComplexField:
-    remove the carrier, transform once, take the bins inside the carrier disc,
-    then zero the bins outside the mask disc and transform back, or keep the
+    remove the carrier into a fresh buffer, transform its rows and the
+    columns of the carrier (or larger cutoff) disc, take the bins inside the
+    carrier disc, then invert the mask disc in that buffer, or keep the
     carrier-removed field when not ``apply_filter``.  With ``guard``,
     :func:`_guard_band` refuses on the in-band bins before the inverse could
     warn.  Returns in-band bins, bandwidth (None unguarded) and field."""
-    centered = remove_carrier(field, carrier)
-    spectrum = np.fft.fft2(centered.values)
-    in_band, _ = _disc(spectrum.shape, carrier.magnitude)
-    band = spectrum[in_band]
+    centered = _centered(field.values, carrier)
+    spectrum = _forward(centered, max(carrier.magnitude, mask.cutoff),
+                        out=centered if apply_filter else None)
+    rows, cols, inside, _ = _disc(spectrum.shape, carrier.magnitude)
+    band = spectrum[np.ix_(rows, cols)][inside]
     bandwidth = _guard_band(band, spectrum.shape, carrier, mask, apply_filter) if guard else None
     if not apply_filter:
-        return band, bandwidth, centered
-    del centered
+        return band, bandwidth, ComplexField(_Owned(centered))
     return band, bandwidth, _keep_disc(spectrum, mask.cutoff)
 
 
@@ -239,7 +265,7 @@ def _guard_band(in_band: np.ndarray, shape, carrier: CarrierSpec, mask: Spectral
     peak = float(magnitude.max())
     if peak == 0.0:
         raise DegeneracyError("demodulated field has an empty spectrum")
-    _, radii = _disc(shape, carrier.magnitude)
+    radii = _disc(shape, carrier.magnitude)[3]
     bandwidth = float(radii[magnitude >= _BANDWIDTH_REL_FLOOR * peak].max())
     if bandwidth >= _SLOPE_MARGIN * carrier.magnitude:
         raise RefusalError(
@@ -326,7 +352,7 @@ def spatial_from_temporal(
     band, bandwidth, filtered = _spectral_chain(temporal, carrier, mask, apply_filter, guard=True)
     # the guarded cutoff disc lies inside the carrier disc, and carrier removal
     # keeps the modulus, so the total spectral energy is N * sum |temporal|^2
-    _, radii = _disc(temporal.shape, carrier.magnitude)
+    radii = _disc(temporal.shape, carrier.magnitude)[3]
     admitted = band[(radii <= mask.cutoff) & (radii > bandwidth)]
     total_energy = temporal.values.size * np.vdot(temporal.values, temporal.values).real
     out_of_band = float(np.sum(np.abs(admitted) ** 2) / total_energy)

@@ -441,7 +441,8 @@ def _run_demod(params: dict, out: Path) -> None:
         )
         diagnostics = {"method": "spatial", **diag.to_dict()}
         crop = diag.mask.border_crop
-        cut_columns = {"filtered": phase}
+        # unfiltered, the returned field is already the carrier-removed one
+        cut_columns = {"filtered" if params["filter"] else "unfiltered": phase}
     else:
         raise ValueError(f"unknown method {method!r}, expected 'temporal' or 'spatial'")
     if reference is not None:
@@ -453,7 +454,7 @@ def _run_demod(params: dict, out: Path) -> None:
 
     row = _cut_row(params, phase.height)
     if row is not None:
-        if method == "spatial":
+        if method == "spatial" and params["filter"]:
             cut_columns["unfiltered"], _ = field_phase(remove_carrier(temporal, diag.carrier))
         columns = {name: column.values[row] for name, column in cut_columns.items()}
         if reference is not None:

@@ -211,6 +211,7 @@ def field_phase(field: ComplexField):
         valid = modulus >= _MIN_MODULUS_RATIO * peak
     else:
         valid = np.zeros(field.shape, dtype=bool)
+    del modulus  # released before the phase array is allocated
     # np.angle lies in [-pi, pi]; only +pi needs mapping into [-pi, pi)
     phase = np.angle(field.values)
     phase[phase == np.pi] = -np.pi

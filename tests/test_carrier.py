@@ -50,13 +50,25 @@ def test_frequency_radius_cached_read_only():
     from psidemod.carrier import _disc
 
     # an unbounded disc holds every bin, its radii in row-major order
-    inside, radii = _disc((6, 8), np.inf)
+    disc = _disc((6, 8), np.inf)
     again = _disc((6, 8), np.inf)
-    assert again[0] is inside and again[1] is radii
-    assert not inside.flags.writeable and not radii.flags.writeable
+    assert all(a is b for a, b in zip(again, disc))
+    assert not any(array.flags.writeable for array in disc)
+    rows, cols, inside, radii = disc
+    assert rows.tolist() == list(range(6)) and cols.tolist() == list(range(8))
     assert inside.all() and radii.shape == (48,)
     rho = radii.reshape(6, 8)
     assert rho[0, 0] == 0.0 and rho[3, 0] == pytest.approx(np.pi)
+
+
+def test_disc_block_holds_only_the_rows_and_columns_it_reaches():
+    from psidemod.carrier import _disc
+
+    # 0.8 rad/px on a 9x12 grid reaches bins 0, +-1 of 9 and 0, +-1 of 12, not the corners
+    rows, cols, inside, radii = _disc((9, 12), 0.8)
+    assert rows.tolist() == [0, 1, 8] and cols.tolist() == [0, 1, 11]
+    assert inside.tolist() == [[True, True, True], [True, False, False], [True, False, False]]
+    assert radii[0] == 0.0 and radii.size == 5
 
 
 # --- low-pass filter ---

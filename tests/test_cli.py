@@ -172,16 +172,22 @@ def test_demod_spatial_runs_the_temporal_step_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_demod_spatial_unfiltered_cut_only_with_a_line_cut(tmp_path, monkeypatch):
+def _count_carrier_removals(monkeypatch):
+    """Count evaluations of the carrier factor, which ``remove_carrier`` and
+    the spectral chain both take from ``carrier._centered``."""
     calls = []
-    original = p.remove_carrier
+    original = p.carrier._centered
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for module in (cli, p.carrier):
-        monkeypatch.setattr(module, "remove_carrier", counting)
+    monkeypatch.setattr(p.carrier, "_centered", counting)
+    return calls
+
+
+def test_demod_spatial_unfiltered_cut_only_with_a_line_cut(tmp_path, monkeypatch):
+    calls = _count_carrier_removals(monkeypatch)
     spatial = ("demod", "--method", "spatial", "--carrier", "pi/4", "--cutoff", "pi/8",
                "--width", 64, "--height", 64, "--amplitude", 1.0)
     code, _, err = run_cli(*spatial, "--out", tmp_path / "x")
@@ -191,6 +197,22 @@ def test_demod_spatial_unfiltered_cut_only_with_a_line_cut(tmp_path, monkeypatch
     code, _, err = run_cli(*spatial, "--line-cut-row", 64, "--out", tmp_path / "y")
     assert code == 2
     assert "line-cut row 64 outside a 64-row map" in err
+
+
+def test_demod_no_filter_line_cut_writes_the_returned_field_once(tmp_path, monkeypatch):
+    calls = _count_carrier_removals(monkeypatch)
+    out = tmp_path / "x"
+    code, _, err = run_cli("demod", "--method", "spatial", "--carrier", "pi/4", "--no-filter",
+                           "--width", 64, "--height", 48, "--amplitude", 1.0,
+                           "--line-cut-row", 20, "--out", out)
+    assert code == 0, err
+    assert len(calls) == 1
+    cut = (out / "line_cut.csv").read_text().splitlines()
+    assert cut[0] == "x,unfiltered,reference,error"
+    phase = load_phase_map(out / "phase")
+    column = np.array([float(line.split(",")[1]) for line in cut[1:]])
+    # phase.f32 holds float32, the CSV full precision
+    np.testing.assert_allclose(column, phase.values[20], rtol=0, atol=1e-6)
 
 
 def test_demod_spatial_needs_a_carrier(tmp_path):

@@ -1,15 +1,20 @@
 """The one carrier-removed spectral chain shared by the spatial demodulation
 and the Monte-Carlo superposition.
 
-``reference_out_of_band`` is the earlier full-spectrum formula, kept as the
-oracle: it builds |S| over the whole grid and divides the admitted energy
-beyond the signal band by the sum of every bin.  The chain reads the
-numerator from the in-band bins and the denominator by Parseval, so the two
-may differ in the last digits; the bound is 1e-12 relative, and refusals
-must be the same exception with the same message.
+Two oracles are kept.  ``reference_out_of_band`` is the earlier
+full-spectrum formula: it builds |S| over the whole grid and divides the
+admitted energy beyond the signal band by the sum of every bin.  The chain
+reads the numerator from the in-band bins and the denominator by Parseval,
+so the two may differ in the last digits; the bound is 1e-12 relative.
+``reference_chain`` is the full-grid chain the band-limited one replaced:
+``remove_carrier``, ``fft2``, a full-grid disc mask and ``ifft2``.  The
+band-limited chain applies the same 1-D transforms in the same axis order,
+so against it every output must be bit-identical.  Refusals must be the same
+exception with the same message.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,19 +23,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psidemod as p
-from psidemod.carrier import _guard_band, spatial_from_temporal
+from psidemod.carrier import _disc, _guard_band, _spectral_chain, spatial_from_temporal
 
 TOL = 1e-12
 TWO_PI = 2 * np.pi
 
 
+def _full_grid_radii(shape):
+    height, width = shape
+    return np.hypot(TWO_PI * np.fft.fftfreq(width)[None, :],
+                    TWO_PI * np.fft.fftfreq(height)[:, None])
+
+
 def reference_out_of_band(temporal, carrier, mask, apply_filter):
     centered = p.remove_carrier(temporal, carrier)
     spectrum = np.fft.fft2(centered.values)
-    height, width = spectrum.shape
-    ky = TWO_PI * np.fft.fftfreq(height)
-    kx = TWO_PI * np.fft.fftfreq(width)
-    rho = np.hypot(kx[None, :], ky[:, None])
+    rho = _full_grid_radii(spectrum.shape)
     in_band = rho <= carrier.magnitude
     bandwidth = _guard_band(spectrum[in_band], spectrum.shape, carrier, mask, apply_filter)
 
@@ -38,6 +46,31 @@ def reference_out_of_band(temporal, carrier, mask, apply_filter):
     total_energy = float(np.sum(magnitude**2))
     out_band = (rho <= mask.cutoff) & (rho > bandwidth)
     return float(np.sum(magnitude[out_band] ** 2) / total_energy)
+
+
+def reference_chain(temporal, carrier, mask, apply_filter):
+    """In-band bins, bandwidth, out-of-band energy and field of the full-grid
+    chain: one ``fft2``, boolean masks over the whole grid, one ``ifft2``."""
+    centered = p.remove_carrier(temporal, carrier)
+    spectrum = np.fft.fft2(centered.values)
+    rho = _full_grid_radii(spectrum.shape)
+    in_band = rho <= carrier.magnitude
+    band = spectrum[in_band]
+    bandwidth = _guard_band(band, spectrum.shape, carrier, mask, apply_filter)
+    radii = rho[in_band]
+    admitted = band[(radii <= mask.cutoff) & (radii > bandwidth)]
+    total_energy = temporal.values.size * np.vdot(temporal.values, temporal.values).real
+    out_of_band = float(np.sum(np.abs(admitted) ** 2) / total_energy)
+    if not apply_filter:
+        return band, bandwidth, out_of_band, centered.values
+    spectrum[rho > mask.cutoff] = 0.0
+    return band, bandwidth, out_of_band, np.fft.ifft2(spectrum)
+
+
+def reference_lowpass(field, mask):
+    spectrum = np.fft.fft2(field.values)
+    spectrum[_full_grid_radii(spectrum.shape) > mask.cutoff] = 0.0
+    return np.fft.ifft2(spectrum)
 
 
 def _outcome(function):
@@ -95,33 +128,152 @@ def test_out_of_band_energy_matches_full_spectrum_formula(
         assert math.isclose(got, want, rel_tol=TOL, abs_tol=0.0), (got, want)
 
 
-def _count_transforms(monkeypatch):
-    calls = {"fft2": 0, "ifft2": 0}
-    for name in calls:
+def _test_field(height, width, carrier, cycles, amplitude, leak, background, noise, seed):
+    """Signal and conjugate lobes of a grid-periodic wavefront, the
+    background, and complex noise in every bin."""
+    y, x = np.indices((height, width), dtype=np.float64)
+    psi = amplitude * (np.cos(TWO_PI * cycles[0] * x / width)
+                       + np.cos(TWO_PI * cycles[1] * y / height))
+    psi += carrier.phase_field((height, width))
+    rng = np.random.default_rng(seed)
+    values = np.exp(1j * psi) + leak * np.exp(-1j * psi) + background
+    values += noise * (rng.normal(size=psi.shape) + 1j * rng.normal(size=psi.shape))
+    return p.ComplexField(values)
+
+
+def _chain(temporal, carrier, mask, apply_filter):
+    with warnings.catch_warnings():
+        # a tiny cutoff on a small grid admits only the DC bin; not under test here
+        warnings.simplefilter("ignore", UserWarning)
+        band, bandwidth, _ = _spectral_chain(temporal, carrier, mask, apply_filter, guard=True)
+        _, field, diag = spatial_from_temporal(temporal, carrier=carrier, mask=mask,
+                                               apply_filter=apply_filter)
+    assert diag.signal_bandwidth == bandwidth
+    return band, bandwidth, diag.out_of_band_energy, field.values
+
+
+def _reference(temporal, carrier, mask, apply_filter):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return reference_chain(temporal, carrier, mask, apply_filter)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    height=st.integers(9, 64),
+    width=st.integers(9, 64),
+    direction=st.floats(0.0, 2 * np.pi),
+    magnitude=st.floats(0.4, 2.8),
+    cutoff_ratio=st.floats(0.1, 1.1),
+    cycles=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    amplitude=st.floats(0.0, 2.0),
+    leak=_WEAK,
+    background=_WEAK,
+    noise=st.just(0.0) | st.floats(1e-6, 1e-3),
+    seed=st.integers(0, 2**32 - 1),
+    apply_filter=st.booleans(),
+)
+def test_band_limited_chain_is_bit_identical_to_the_full_grid_chain(
+    height, width, direction, magnitude, cutoff_ratio, cycles, amplitude, leak, background,
+    noise, seed, apply_filter,
+):
+    carrier = p.CarrierSpec(magnitude * np.cos(direction), magnitude * np.sin(direction))
+    mask = p.SpectralMask(cutoff_ratio * magnitude)
+    temporal = _test_field(height, width, carrier, cycles, amplitude, leak, background, noise,
+                           seed)
+    # the cached radii follow the full-grid mask's row-major order
+    rho = _full_grid_radii((height, width))
+    assert np.array_equal(_disc((height, width), magnitude)[3], rho[rho <= magnitude])
+
+    got, got_refusal = _outcome(lambda: _chain(temporal, carrier, mask, apply_filter))
+    want, want_refusal = _outcome(lambda: _reference(temporal, carrier, mask, apply_filter))
+    assert got_refusal == want_refusal
+    if want_refusal is None:
+        for name, g, w in zip(("band", "bandwidth", "out_of_band_energy", "field"), got, want):
+            assert np.array_equal(g, w), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    height=st.integers(9, 64),
+    width=st.integers(9, 64),
+    cutoff=st.floats(0.05, np.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lowpass_is_bit_identical_to_fft2_mask_ifft2(height, width, cutoff, seed):
+    rng = np.random.default_rng(seed)
+    field = p.ComplexField(rng.normal(size=(height, width))
+                           + 1j * rng.normal(size=(height, width)))
+    mask = p.SpectralMask(cutoff)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        got = p.lowpass(field, mask).values
+    assert np.array_equal(got, reference_lowpass(field, mask))
+
+
+def _count_lines(monkeypatch):
+    """Count the 1-D lines that ``np.fft.fft`` and ``np.fft.ifft`` transform;
+    the full-grid transforms must not run at all."""
+    lines = {"fft": 0, "ifft": 0}
+    for name in lines:
         original = getattr(np.fft, name)
 
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+        def counting(a, *args, _name=name, _original=original, axis=-1, **kwargs):
+            lines[_name] += a.size // a.shape[axis]
+            return _original(a, *args, axis=axis, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counting)
-    return calls
+
+    def refused(*args, **kwargs):
+        raise AssertionError("full-grid transform called")
+
+    for name in ("fft2", "ifft2", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, refused)
+    return lines
+
+
+def _band_lines(shape, carrier, cutoff):
+    """Lines of one band-limited forward and inverse: every row plus the
+    columns of the carrier disc, the rows of the cutoff disc plus every
+    column."""
+    height, width = shape
+    n_c = int(np.sum(np.abs(TWO_PI * np.fft.fftfreq(width)) <= carrier.magnitude))
+    n_r = int(np.sum(np.abs(TWO_PI * np.fft.fftfreq(height)) <= cutoff))
+    assert n_c < width and n_r < height
+    return {"fft": height + n_c, "ifft": n_r + width}
 
 
 def test_spatial_demod_runs_one_forward_and_one_inverse_transform(sh5, monkeypatch):
     carrier = p.CarrierSpec(np.pi / 4, 0.1)
     truth = p.synthesize_wavefront("defocus", 2.0, (64, 48))
     stack = p.generate_stack(truth, 128.0, 100.0, sh5.nominal_step, 5, carrier=carrier)
-    calls = _count_transforms(monkeypatch)
+    lines = _count_lines(monkeypatch)
     p.demodulate_spatial(stack, sh5, carrier=carrier)
-    assert calls == {"fft2": 1, "ifft2": 1}
+    assert lines == _band_lines((64, 48), carrier, carrier.magnitude / 2)
 
 
 @pytest.mark.parametrize("trials", [2, 7])
 def test_spatial_montecarlo_transforms_each_basis_field_once(sh5, monkeypatch, trials):
+    carrier = p.CarrierSpec(0.8, 0.3)
     truth = p.synthesize_wavefront("defocus", 2.0, (48, 40))
-    calls = _count_transforms(monkeypatch)
-    summary = p.montecarlo_repeatability(truth, sh5, method="spatial",
-                                         carrier=p.CarrierSpec(0.8, 0.3), trials=trials)
+    lines = _count_lines(monkeypatch)
+    summary = p.montecarlo_repeatability(truth, sh5, method="spatial", carrier=carrier,
+                                         trials=trials)
     assert summary.trials == trials
-    assert calls == {"fft2": 3, "ifft2": 3}
+    once = _band_lines((48, 40), carrier, carrier.magnitude / 2)
+    assert lines == {name: 3 * count for name, count in once.items()}
+
+
+def test_filtered_spatial_demod_peak_allocation_stays_within_twice_the_field():
+    carrier = p.CarrierSpec(np.pi / 4, 0.1)
+    truth = p.synthesize_wavefront("defocus", 2.0, (192, 256))
+    psi = truth.values + carrier.phase_field(truth.shape)
+    temporal = p.ComplexField(np.exp(1j * psi) + 0.1 * np.exp(-1j * psi))
+    spatial_from_temporal(temporal, carrier=carrier)  # fills the disc cache
+    tracemalloc.start()
+    try:
+        spatial_from_temporal(temporal, carrier=carrier)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * temporal.values.nbytes, peak / temporal.values.nbytes

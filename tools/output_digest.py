@@ -40,6 +40,10 @@ COMMANDS = (
     ("demod-spatial-128", [*FIG9_128, "--compare-truth"]),
     ("demod-estimate-128", [*FIG9_128, "--demod-carrier", "estimate"]),
     ("demod-no-filter-128", [*FIG9_128, "--no-filter"]),
+    # odd, non-square grid with an oblique carrier: both signs of kx and ky in the disc
+    ("demod-oblique-127x96", ["demod", "--method", "spatial", "--width", "127",
+                              "--height", "96", "--carrier", "0.5,-0.9", "--compare-truth",
+                              "--line-cut-row", "40"]),
     ("compare-tilt", ["compare", "--phase1", "demod-spatial-128/phase.json",
                       "--phase2", "demod-spatial-128/truth.json",
                       "--crop", "8", "--pgm", "--gain", "4"]),
