@@ -20,7 +20,7 @@ from .fields import (
     wrap,
 )
 from .conjugate import conjugate_amplitudes
-from .psa import PsaSpec, _contract, field_phase
+from .psa import PsaSpec, _contract, _valid
 
 # a piston-removed residual spanning nearly the full cycle means the
 # difference still contains wraps, which piston/tilt fitting cannot see past
@@ -92,11 +92,21 @@ def remove_piston_tilt(diff: PhaseMap, crop: int = 0, tilt: bool = True):
         Wrapped residual and the removed-term report with interior pv/rms.
     """
     rows, cols = _interior(diff.shape, crop)
-    cos, sin = np.cos(diff.values[rows, cols]), np.sin(diff.values[rows, cols])
+    interior = diff.values[rows, cols]
+    # cos and sin go straight into the core, which frees them before its wrap
+    residual, report = _piston_tilt(diff.values, diff.wrapped, np.cos(interior), np.sin(interior),
+                                    (rows, cols), crop, tilt)
+    return PhaseMap(_Owned(residual), wrapped=True), report
+
+
+def _piston_tilt(values, wrapped, cos, sin, interior, crop, tilt):
+    """:func:`remove_piston_tilt` from the first piston on, given cos and sin of
+    ``values`` over the (rows, cols) ``interior``; returns residual and report."""
+    rows, cols = interior
     piston1 = float(np.arctan2(sin.sum(), cos.sum()))
-    leveled = diff.values - piston1
+    leveled = values - piston1
     # a wrapped map and its circular mean both lie in [-pi, pi]
-    leveled = fold(leveled) if diff.wrapped else wrap(leveled)
+    leveled = fold(leveled) if wrapped else wrap(leveled)
 
     interior = leveled[rows, cols]
     span = float(interior.max() - interior.min())
@@ -106,7 +116,7 @@ def remove_piston_tilt(diff: PhaseMap, crop: int = 0, tilt: bool = True):
             "cycle: the difference still wraps, so piston/tilt removal is ill-defined"
         )
 
-    height, width = diff.shape
+    height, width = values.shape
     x = np.arange(width, dtype=np.float64) - np.mean(np.arange(width)[cols])
     y = np.arange(height, dtype=np.float64) - np.mean(np.arange(height)[rows])
     x_in, y_in = x[cols], y[rows]
@@ -137,7 +147,25 @@ def remove_piston_tilt(diff: PhaseMap, crop: int = 0, tilt: bool = True):
         tilt_removed=(alpha, beta),
         crop=int(crop),
     )
-    return PhaseMap(_Owned(residual), wrapped=True), report
+    return residual, report
+
+
+def _phasor_report(z, reference, crop):
+    """``remove_piston_tilt(wrapped_diff(field_phase(F), reference), crop)``'s
+    report from ``z = F e^{-i reference}``: on the interior, angle(z) is the
+    difference and z/|z| its cos and sin, with trig only if a pixel is invalid."""
+    rows, cols = _interior(z.shape, crop)
+    modulus = np.abs(z)
+    valid = _valid(modulus, float(modulus.max()))[rows, cols]
+    z, modulus = z[rows, cols], modulus[rows, cols]
+    diff = np.angle(z)
+    diff[diff == np.pi] = -np.pi
+    if valid.all():
+        cos, sin = z.real / modulus, z.imag / modulus
+    else:
+        diff[~valid] = fold(-reference[rows, cols][~valid])
+        cos, sin = np.cos(diff), np.sin(diff)
+    return _piston_tilt(diff, True, cos, sin, (slice(None),) * 2, crop, True)[1]
 
 
 def pv_rms(phase_map: PhaseMap, crop: int = 0):
@@ -212,6 +240,9 @@ def montecarlo_repeatability(
     :func:`generate_stack` draws it, then contracted and filtered on its
     own), the spatial refusals (read from the superposed in-band spectrum)
     and the compare; each matches synthesis plus demodulation to round-off.
+    The compare runs in the reference frame: the basis fields are rotated once
+    per call by ``e^{-i reference}``, so each trial's weighted sum is already
+    its residual phasor and needs no trig (see :func:`_phasor_report`).
 
     ``method`` is ``temporal`` (phase of the temporal field, artifact
     included) or ``spatial`` (carrier removal plus low-pass; requires a
@@ -238,7 +269,7 @@ def montecarlo_repeatability(
         if carrier is not None:
             # the temporal phase still carries the carrier
             reference = reference + carrier.phase_field(truth.shape)
-    reference = PhaseMap(wrap(reference), wrapped=True)
+    reference = wrap(reference)
 
     # truth and carrier are fixed, so every trial shares one synthesis basis;
     # a slope refusal of that basis fails each trial as generate_stack would
@@ -263,6 +294,10 @@ def montecarlo_repeatability(
         # e^{i psi}, e^{-i psi} and the background, each once through the chain
         unit = (basis.cos + 1j * basis.sin, basis.cos - 1j * basis.sin, np.ones(truth.shape))
         bands, fields = map(np.stack, zip(*map(chain, unit)))
+        del unit
+        # into the reference frame: each trial's sum is then its residual phasor
+        rotation = np.exp(-1j * reference)
+        fields *= rotation
 
     children = np.random.SeedSequence(seed).spawn(trials)
     pvs, ratios, failures = [], [], []
@@ -280,19 +315,19 @@ def montecarlo_repeatability(
             failures.append((index, refusal))
             continue
         weights = np.array([pair.a1, pair.a2, background_gain])
-        band, field = weights @ bands, np.tensordot(weights, fields, 1)
+        band, z = weights @ bands, np.tensordot(weights, fields, 1)
         if basis.noise_sigma > 0.0:
             # the noise frames generate_stack adds for this seed, contracted
             rng = np.random.default_rng(noise_seed)
             noise = rng.normal(0.0, basis.noise_sigma, size=(spec.n_steps,) + truth.shape)
             noise_band, noise_field = chain(_contract(noise, taps))
             band += noise_band
-            field += noise_field
+            z += noise_field * rotation
         try:
             if method == "spatial":
                 _guard_band(band, truth.shape, carrier, mask)
-            phase, _ = field_phase(ComplexField(_Owned(field)))
-            _, report = remove_piston_tilt(wrapped_diff(phase, reference), crop=crop)
+            ComplexField(_Owned(z))  # refuses an overflowed field
+            report = _phasor_report(z, reference, crop)
         except (RefusalError, DegeneracyError) as exc:
             failures.append((index, str(exc)))
             continue

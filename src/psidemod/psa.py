@@ -193,6 +193,11 @@ def _contract(frames: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return values
 
 
+def _valid(modulus, peak):
+    """Pixels whose modulus reaches ``_MIN_MODULUS_RATIO`` of the peak (none when it is 0)."""
+    return modulus >= _MIN_MODULUS_RATIO * peak if peak > 0.0 else np.zeros(modulus.shape, bool)
+
+
 def field_phase(field: ComplexField):
     """Extract wrapped phase from a complex field.
 
@@ -206,11 +211,7 @@ def field_phase(field: ComplexField):
         Wrapped phase in [-pi, pi) and the per-pixel validity mask.
     """
     modulus = np.abs(field.values)
-    peak = float(modulus.max())
-    if peak > 0.0:
-        valid = modulus >= _MIN_MODULUS_RATIO * peak
-    else:
-        valid = np.zeros(field.shape, dtype=bool)
+    valid = _valid(modulus, float(modulus.max()))
     del modulus  # released before the phase array is allocated
     # np.angle lies in [-pi, pi]; only +pi needs mapping into [-pi, pi)
     phase = np.angle(field.values)

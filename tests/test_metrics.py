@@ -224,10 +224,7 @@ def _pipeline_trials(truth, spec, method, carrier, mask, crop, noise_sigma, tria
     Returns the demodulated field of each trial that got that far, the P-V of
     each trial that passed, and the (index, reason) of each that refused.
     """
-    reference = truth.values
-    if method == "temporal" and carrier is not None:
-        reference = reference + carrier.phase_field(truth.shape)
-    reference = p.PhaseMap(p.wrap(reference), wrapped=True)
+    reference = _mc_reference(truth, method, carrier)
     fields, pvs, failures = [], [], []
     for index, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         schedule_seed, noise_seed = child.spawn(2)
@@ -251,9 +248,19 @@ def _pipeline_trials(truth, spec, method, carrier, mask, crop, noise_sigma, tria
     return fields, pvs, failures
 
 
+def _mc_reference(truth, method, carrier):
+    """The wrapped phase Monte-Carlo compares against: the truth, plus the
+    carrier for a temporal run with one."""
+    reference = truth.values
+    if method == "temporal" and carrier is not None:
+        reference = reference + carrier.phase_field(truth.shape)
+    return p.PhaseMap(p.wrap(reference), wrapped=True)
+
+
 def _montecarlo_fields(truth, spec, **kwargs):
-    """montecarlo_repeatability, and the field each trial handed to field_phase."""
-    with mock.patch.object(metrics, "field_phase", wraps=p.field_phase) as spy:
+    """montecarlo_repeatability, and the residual phasor z = F e^{-i reference}
+    of each trial's demodulated field F, as handed to the compare."""
+    with mock.patch.object(metrics, "_phasor_report", wraps=metrics._phasor_report) as spy:
         summary = p.montecarlo_repeatability(truth, spec, **kwargs)
     return summary, [call.args[0] for call in spy.call_args_list]
 
@@ -288,10 +295,11 @@ def test_montecarlo_superposition_matches_pipeline_on_criterion_6(sh5, method):
                                                200, 20260815)
     assert summary.failures == tuple(failures)
     assert len(fields) == len(expected) == 200
+    rotation = np.exp(-1j * _mc_reference(truth, method, carrier).values)
     worst = 0.0
-    for field, reference in zip(fields, expected):
-        phase, valid = p.field_phase(field)
-        slow, slow_valid = p.field_phase(reference)
+    for z, reference in zip(fields, expected):
+        phase, valid = p.field_phase(p.ComplexField(z))
+        slow, slow_valid = p.field_phase(p.ComplexField(reference.values * rotation))
         both = valid & slow_valid
         worst = max(worst, np.abs(p.wrapped_diff(phase, slow).values[both]).max())
     assert worst <= 1e-12
@@ -334,9 +342,11 @@ def test_montecarlo_superposition_matches_pipeline(height, width, angle, speed, 
                                                3, seed, magnitude=magnitude)
     assert summary.failures == tuple(failures)
     assert len(fields) == len(expected)
-    for field, reference in zip(fields, expected):
+    # |e^{-i reference}| = 1, so the rotation keeps the bound as strict
+    rotation = np.exp(-1j * _mc_reference(truth, method, carrier).values)
+    for z, reference in zip(fields, expected):
         scale = np.abs(reference.values).max()
-        assert np.abs(field.values - reference.values).max() <= 1e-12 * scale
+        assert np.abs(z - reference.values * rotation).max() <= 1e-12 * scale
     assert np.allclose(summary.pv_waves, pvs, rtol=0.0, atol=1e-9)
 
 

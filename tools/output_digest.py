@@ -52,6 +52,10 @@ COMMANDS = (
     ("montecarlo-spatial", ["montecarlo", "--method", "spatial", "--width", "64",
                             "--height", "64", "--carrier", "0.8,0.3", "--cutoff", "0.35",
                             "--border-crop", "6", "--trials", "20", "--seed", "3"]),
+    # temporal: the reference includes the carrier; noise goes through the rotation too
+    ("montecarlo-temporal-noise", ["montecarlo", "--method", "temporal", "--width", "64",
+                                   "--height", "48", "--carrier", "0.8,0.3",
+                                   "--noise-sigma", "0.5", "--trials", "12", "--seed", "5"]),
     ("ftf-fig2", ["ftf", "--preset", "fig2"]),
 )
 
