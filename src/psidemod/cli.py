@@ -54,7 +54,7 @@ from .formats import (
     write_montecarlo_csv,
     write_pgm,
 )
-from .metrics import montecarlo_repeatability, remove_piston_tilt, wrapped_diff
+from .metrics import _reference, montecarlo_repeatability, remove_piston_tilt, wrapped_diff
 from .psa import PsaSpec, demodulate_temporal, field_phase, ftf_sweep, sh5_spec, taps_from_zeros
 
 EXIT_OK = 0
@@ -119,34 +119,31 @@ def parse_coefficients(text):
     return value
 
 
-def _build_schedule(spec_text: str, n_frames: int, nominal_step: float, seed) -> ErrorSchedule:
-    """Resolve an error-model string into a concrete schedule.
+def _error_family(spec_text: str):
+    """Split an error-model string into (kind, argument).
 
     Forms: 'zero', 'uniform:<half-range>', 'gaussian:<sigma>',
-    'quadratic-pzt:<kappa>', 'fixed:<e0,e1,...>'.
+    'quadratic-pzt:<kappa>', whose argument is the magnitude (0 when
+    omitted), and 'fixed:<e0,e1,...>', whose argument stays text.
     """
     kind, _, argument = str(spec_text).partition(":")
     kind = kind.strip().lower()
     if kind == "fixed":
-        return ErrorSchedule(np.asarray(parse_float_list(argument), dtype=np.float64))
-    magnitude = float(argument) if argument else 0.0
-    return make_error_schedule(kind, n_frames, magnitude=magnitude, nominal_step=nominal_step, seed=seed)
-
-
-def _error_family(spec_text: str):
-    kind, _, argument = str(spec_text).partition(":")
-    kind = kind.strip().lower()
-    if kind == "fixed":
-        raise ValueError("monte-carlo runs need a random error family, not 'fixed'")
+        return kind, argument
     return kind, float(argument) if argument else 0.0
+
+
+def _build_schedule(spec_text: str, n_frames: int, nominal_step: float, seed) -> ErrorSchedule:
+    kind, argument = _error_family(spec_text)
+    if kind == "fixed":
+        return ErrorSchedule(np.asarray(parse_float_list(argument), dtype=np.float64))
+    return make_error_schedule(kind, n_frames, magnitude=argument, nominal_step=nominal_step, seed=seed)
 
 
 def _build_psa(params) -> PsaSpec:
     name = params["psa"]
     if name == "sh5":
         return sh5_spec()
-    if name not in ("taps", "zeros"):
-        raise ValueError(f"unknown psa {name!r}, expected 'sh5', 'taps' or 'zeros'")
     if params[name] is None or params["psa_step"] is None:
         raise ValueError(f"psa {name!r} requires --{name} and --psa-step")
     values = np.asarray(params[name], dtype=np.float64)
@@ -413,7 +410,6 @@ def _run_demod(params: dict, out: Path) -> None:
         export_spectrum(out / "spectrum", temporal)
 
     method = params["method"]
-    reference = None if truth is None else truth.values
     if method == "temporal":
         phase, valid = field_phase(temporal)
         field = temporal
@@ -422,12 +418,8 @@ def _run_demod(params: dict, out: Path) -> None:
             "invalid_pixels": int(valid.size - valid.sum()),
         }
         crop = 0
-        carrier = _carrier_from_value(params["carrier"])
-        if reference is not None and carrier is not None:
-            # the temporal phase still carries the synthesis carrier
-            reference = reference + carrier.phase_field(truth.shape)
         cut_columns = {"phase": phase}
-    elif method == "spatial":
+    else:
         carrier_request = params["demod_carrier"]
         if carrier_request is None:
             raise ValueError("demod carrier must be 'auto', 'estimate' or 'u0[,v0]'")
@@ -443,10 +435,8 @@ def _run_demod(params: dict, out: Path) -> None:
         crop = diag.mask.border_crop
         # unfiltered, the returned field is already the carrier-removed one
         cut_columns = {"filtered" if params["filter"] else "unfiltered": phase}
-    else:
-        raise ValueError(f"unknown method {method!r}, expected 'temporal' or 'spatial'")
-    if reference is not None:
-        reference = PhaseMap(wrap(reference), wrapped=True)
+    reference = None if truth is None else PhaseMap(
+        _reference(truth, method, stack.metadata.carrier), wrapped=True)
 
     save_phase_map(out / "phase", phase)
     save_complex_field(out / "field", field)
@@ -508,6 +498,8 @@ def _run_montecarlo(params: dict, out: Path) -> None:
     carrier = _carrier_from_value(params["carrier"])
     mask = _build_mask(params)
     kind, magnitude = _error_family(params["errors"])
+    if kind == "fixed":
+        raise ValueError("monte-carlo runs need a random error family, not 'fixed'")
     summary = montecarlo_repeatability(
         truth,
         spec,

@@ -85,15 +85,16 @@ def _validated(values, dtype, what, min_shape) -> np.ndarray:
 
 
 class _Grid:
-    """Row-major grid properties of a 2D ``values`` array."""
+    """Row-major grid properties of a (height, width) ``shape``, by default
+    that of a 2D ``values`` array."""
 
     @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return self.shape[0]
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self.shape[1]
 
     @property
     def shape(self):
@@ -193,7 +194,7 @@ class StackMetadata:
 
 
 @dataclass(frozen=True)
-class InterferogramStack:
+class InterferogramStack(_Grid):
     """N temporally phase-shifted frames on a common pixel grid.
 
     ``frames`` has shape (n, height, width); ``nominal_step`` is the intended
@@ -215,14 +216,6 @@ class InterferogramStack:
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.frames.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.frames.shape[2]
 
     @property
     def shape(self):
@@ -341,37 +334,14 @@ def _max_slope_along(truth: PhaseMap, carrier: CarrierSpec) -> float:
     return float(np.abs(directional).max())
 
 
-@dataclass(frozen=True)
-class SynthesisBasis:
-    """What every stack of one truth shares: validated scalars and cos/sin of
-    the base phase ``truth + carrier``, built by :func:`synthesis_basis`."""
+def _synthesis_inputs(truth: PhaseMap, background, contrast, n_frames, carrier, noise_sigma):
+    """:func:`generate_stack`'s checks and refusals that need no schedule.
 
-    background: float
-    contrast: float
-    nominal_step: float
-    n_frames: int
-    carrier: CarrierSpec | None
-    noise_sigma: float
-    cos: np.ndarray
-    sin: np.ndarray
-
-
-def synthesis_basis(
-    truth: PhaseMap,
-    background,
-    contrast,
-    nominal_step,
-    n_frames,
-    carrier: CarrierSpec | None = None,
-    noise_sigma=0.0,
-) -> SynthesisBasis:
-    """Validate the schedule-independent synthesis inputs and precompute
-    cos and sin of the base phase; the checks and refusals are those of
-    :func:`generate_stack`."""
+    Returns the validated background, contrast and noise sigma, and cos and
+    sin of the base phase ``truth + carrier``.
+    """
     background = float(background)
     contrast = float(contrast)
-    nominal_step = float(nominal_step)
-    n_frames = int(n_frames)
     noise_sigma = float(noise_sigma)
     if not np.isfinite(background) or not np.isfinite(contrast) or contrast <= 0.0:
         raise ValueError(f"need finite background and contrast > 0, got a={background!r} b={contrast!r}")
@@ -391,12 +361,7 @@ def synthesis_basis(
                 f"wavefront slope {slope:.6g} rad/px along the carrier direction"
             )
         base = truth.values + carrier.phase_field(truth.shape)
-    cos, sin = np.cos(base), np.sin(base)
-    cos.setflags(write=False)
-    sin.setflags(write=False)
-    return SynthesisBasis(
-        background, contrast, nominal_step, n_frames, carrier, noise_sigma, cos, sin
-    )
+    return background, contrast, noise_sigma, np.cos(base), np.sin(base)
 
 
 def generate_stack(
@@ -419,8 +384,11 @@ def generate_stack(
     Noise, when ``noise_sigma > 0``, is additive white Gaussian drawn from
     a generator seeded with ``seed``; generation is bit-reproducible.
     """
-    basis = synthesis_basis(truth, background, contrast, nominal_step, n_frames, carrier, noise_sigma)
-    n_frames = basis.n_frames
+    n_frames = int(n_frames)
+    background, contrast, noise_sigma, cos, sin = _synthesis_inputs(
+        truth, background, contrast, n_frames, carrier, noise_sigma
+    )
+    nominal_step = float(nominal_step)
     if errors is None:
         errors = ErrorSchedule(np.zeros(n_frames))
     if errors.n_frames != n_frames:
@@ -429,26 +397,26 @@ def generate_stack(
         )
 
     # frame n is a + b*(C*cos(s_n) - S*sin(s_n)) = a + b*cos(base + s_n),
-    # with C, S the basis cos/sin and s_n = n*w0 + eps_n
-    rng = np.random.default_rng(seed) if basis.noise_sigma > 0.0 else None
-    frames = np.empty((n_frames,) + basis.cos.shape)
-    scratch = np.empty(basis.cos.shape)
+    # with C, S the cos/sin of the base phase and s_n = n*w0 + eps_n
+    rng = np.random.default_rng(seed) if noise_sigma > 0.0 else None
+    frames = np.empty((n_frames,) + cos.shape)
+    scratch = np.empty(cos.shape)
     for n in range(n_frames):
-        shift = n * basis.nominal_step + errors.deviations[n]
+        shift = n * nominal_step + errors.deviations[n]
         frame = frames[n]
-        np.multiply(basis.cos, basis.contrast * np.cos(shift), out=frame)
-        np.multiply(basis.sin, basis.contrast * np.sin(shift), out=scratch)
+        np.multiply(cos, contrast * np.cos(shift), out=frame)
+        np.multiply(sin, contrast * np.sin(shift), out=scratch)
         frame -= scratch
-        frame += basis.background
+        frame += background
         if rng is not None:
-            frame += rng.normal(0.0, basis.noise_sigma, size=frame.shape)
+            frame += rng.normal(0.0, noise_sigma, size=frame.shape)
 
     meta = StackMetadata(
-        background=basis.background,
-        contrast=basis.contrast,
-        carrier=basis.carrier,
+        background=background,
+        contrast=contrast,
+        carrier=carrier,
         errors=errors,
-        noise_sigma=basis.noise_sigma,
+        noise_sigma=noise_sigma,
         seed=int(seed) if isinstance(seed, (int, np.integer)) else None,
     )
-    return InterferogramStack(_Owned(frames), basis.nominal_step, meta)
+    return InterferogramStack(_Owned(frames), nominal_step, meta)

@@ -14,9 +14,9 @@ from .fields import (
     ComplexField,
     PhaseMap,
     _Owned,
+    _synthesis_inputs,
     fold,
     make_error_schedule,
-    synthesis_basis,
     wrap,
 )
 from .conjugate import conjugate_amplitudes
@@ -139,14 +139,9 @@ def _piston_tilt(values, wrapped, cos, sin, interior, crop, tilt):
     residual = wrap(leveled)
     piston = float(wrap(piston1 + piston2))
 
-    res_in = residual[rows, cols]
-    report = PhaseDiffReport(
-        pv=float((res_in.max() - res_in.min()) / TWO_PI),
-        rms=float(res_in.std() / TWO_PI),
-        piston_removed=piston,
-        tilt_removed=(alpha, beta),
-        crop=int(crop),
-    )
+    pv, rms = _pv_rms(residual[rows, cols])
+    report = PhaseDiffReport(pv=pv, rms=rms, piston_removed=piston, tilt_removed=(alpha, beta),
+                             crop=int(crop))
     return residual, report
 
 
@@ -168,11 +163,24 @@ def _phasor_report(z, reference, crop):
     return _piston_tilt(diff, True, cos, sin, (slice(None),) * 2, crop, True)[1]
 
 
+def _pv_rms(interior):
+    """Peak-to-valley and RMS of ``interior`` in waves."""
+    return float((interior.max() - interior.min()) / TWO_PI), float(interior.std() / TWO_PI)
+
+
 def pv_rms(phase_map: PhaseMap, crop: int = 0):
     """Peak-to-valley and RMS of a phase map in waves, over the cropped interior."""
     rows, cols = _interior(phase_map.shape, crop)
-    interior = phase_map.values[rows, cols]
-    return float((interior.max() - interior.min()) / TWO_PI), float(interior.std() / TWO_PI)
+    return _pv_rms(phase_map.values[rows, cols])
+
+
+def _reference(truth: PhaseMap, method, carrier: CarrierSpec | None):
+    """The wrapped phase a demodulated field is compared against: the truth,
+    plus the synthesis carrier for a temporal phase, which still carries it."""
+    reference = truth.values
+    if method == "temporal" and carrier is not None:
+        reference = reference + carrier.phase_field(truth.shape)
+    return wrap(reference)
 
 
 @dataclass(frozen=True)
@@ -227,22 +235,13 @@ def montecarlo_repeatability(
     Each trial draws its own step-error schedule (and noise when requested)
     from an independent child of ``seed``, demodulates with the chosen
     method, removes piston and tilt from the wrapped difference against the
-    truth, and records the interior peak-to-valley in waves together with
-    the closed-form leak ratio of that trial's schedule.  Trials whose
-    demodulation or comparison refuses are counted and reported, not
-    silently dropped.  Identical seeds reproduce identical statistics.
-
-    Trials are evaluated by superposition of the closed form: the temporal
-    field is exactly ``A1 e^{i psi} + A2 e^{-i psi} + a H(0)`` with ``psi`` =
-    truth + carrier, and the spatial chain is linear, so the three basis
-    fields go through it once per call and each trial weights them with its
-    own (A1, A2).  Per trial stay the schedule, the noise (drawn as
-    :func:`generate_stack` draws it, then contracted and filtered on its
-    own), the spatial refusals (read from the superposed in-band spectrum)
-    and the compare; each matches synthesis plus demodulation to round-off.
-    The compare runs in the reference frame: the basis fields are rotated once
-    per call by ``e^{-i reference}``, so each trial's weighted sum is already
-    its residual phasor and needs no trig (see :func:`_phasor_report`).
+    truth (plus the carrier, for a temporal phase), and records the interior
+    peak-to-valley in waves together with the closed-form leak ratio of that
+    trial's schedule.  Trials whose synthesis, demodulation or comparison
+    refuses are counted and reported, not silently dropped.  Identical seeds
+    reproduce identical statistics.  Each trial matches :func:`generate_stack`
+    plus demodulation and compare to round-off; README.md explains the
+    superposition that gets it there without synthesizing frames.
 
     ``method`` is ``temporal`` (phase of the temporal field, artifact
     included) or ``spatial`` (carrier removal plus low-pass; requires a
@@ -255,7 +254,6 @@ def montecarlo_repeatability(
     if trials < 2:
         raise ValueError(f"need at least 2 trials for repeatability, got {trials}")
 
-    reference = truth.values
     if method == "spatial":
         if carrier is None:
             raise ValueError("spatial method requires a carrier")
@@ -263,26 +261,22 @@ def montecarlo_repeatability(
             mask = SpectralMask.for_carrier(carrier)
         if crop is None:
             crop = mask.border_crop
-    else:
-        if crop is None:
-            crop = 0
-        if carrier is not None:
-            # the temporal phase still carries the carrier
-            reference = reference + carrier.phase_field(truth.shape)
-    reference = wrap(reference)
+    elif crop is None:
+        crop = 0
+    reference = _reference(truth, method, carrier)
 
-    # truth and carrier are fixed, so every trial shares one synthesis basis;
-    # a slope refusal of that basis fails each trial as generate_stack would
+    # truth and carrier are fixed, so every trial shares one base phase;
+    # a slope refusal fails each trial as generate_stack would
     try:
-        basis = synthesis_basis(
-            truth, background, contrast, spec.nominal_step, spec.n_steps, carrier, noise_sigma
+        background, _, noise_sigma, cos, sin = _synthesis_inputs(
+            truth, background, contrast, spec.n_steps, carrier, noise_sigma
         )
         refusal = None
     except RefusalError as exc:
-        basis, refusal = None, str(exc)
+        refusal = str(exc)
     else:
         taps = spec.combined_taps()
-        background_gain = basis.background * complex(np.sum(taps))
+        background_gain = background * complex(np.sum(taps))
 
         def chain(field):
             """In-band spectrum bins (none for temporal) and demodulated field."""
@@ -292,9 +286,9 @@ def montecarlo_repeatability(
             return np.zeros(0, dtype=np.complex128), field
 
         # e^{i psi}, e^{-i psi} and the background, each once through the chain
-        unit = (basis.cos + 1j * basis.sin, basis.cos - 1j * basis.sin, np.ones(truth.shape))
+        unit = (cos + 1j * sin, cos - 1j * sin, np.ones(truth.shape))
         bands, fields = map(np.stack, zip(*map(chain, unit)))
-        del unit
+        del unit, cos, sin
         # into the reference frame: each trial's sum is then its residual phasor
         rotation = np.exp(-1j * reference)
         fields *= rotation
@@ -316,10 +310,10 @@ def montecarlo_repeatability(
             continue
         weights = np.array([pair.a1, pair.a2, background_gain])
         band, z = weights @ bands, np.tensordot(weights, fields, 1)
-        if basis.noise_sigma > 0.0:
+        if noise_sigma > 0.0:
             # the noise frames generate_stack adds for this seed, contracted
             rng = np.random.default_rng(noise_seed)
-            noise = rng.normal(0.0, basis.noise_sigma, size=(spec.n_steps,) + truth.shape)
+            noise = rng.normal(0.0, noise_sigma, size=(spec.n_steps,) + truth.shape)
             noise_band, noise_field = chain(_contract(noise, taps))
             band += noise_band
             z += noise_field * rotation

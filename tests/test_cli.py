@@ -467,6 +467,23 @@ def test_montecarlo_rejects_fixed_and_bad_trials(tmp_path):
     assert code == 2 and "trials" in err
 
 
+def test_demod_and_montecarlo_compare_against_one_reference(tmp_path):
+    # without step errors a temporal phase is the truth plus the carrier, so
+    # both routes read round-off only if both add the carrier to the truth
+    grid = ("--width", 64, "--height", 48, "--carrier", "0.8,0.3", "--errors", "zero")
+    code, _, err = run_cli("demod", "--method", "temporal", *grid, "--compare-truth",
+                           "--out", tmp_path / "demod")
+    assert code == 0, err
+    code, _, err = run_cli("montecarlo", *grid, "--trials", 2, "--out", tmp_path / "mc")
+    assert code == 0, err
+    demod_pv = read_json(tmp_path / "demod" / "report.json")["pv_waves"]
+    mc_pvs = read_json(tmp_path / "mc" / "summary.json")["pv_waves"]
+    assert len(mc_pvs) == 2
+    for pv in (demod_pv, *mc_pvs):
+        assert pv < 1e-12
+        assert abs(pv - demod_pv) < 1e-12
+
+
 # --- replay ---
 
 

@@ -365,6 +365,33 @@ def test_montecarlo_carrier_below_slope_fails_every_trial(sh5, u0):
     assert "slope" in str(refused.value)
 
 
+@pytest.mark.parametrize(
+    "background, contrast, noise_sigma, n_taps",
+    [
+        (np.inf, 100.0, 0.0, 5),
+        (128.0, 0.0, 0.0, 5),
+        (128.0, -1.0, 0.0, 5),
+        (50.0, 100.0, 0.0, 5),
+        (128.0, 100.0, -0.1, 5),
+        (128.0, 100.0, np.nan, 5),
+        (128.0, 100.0, 0.0, 2),
+    ],
+    ids=["background-inf", "contrast-0", "contrast-negative", "background-below-contrast",
+         "noise-negative", "noise-nan", "two-frames"],
+)
+def test_montecarlo_refuses_as_generate_stack(sh5, defocus_truth, background, contrast,
+                                              noise_sigma, n_taps):
+    spec = sh5 if n_taps == 5 else p.PsaSpec([1.0, -1.0], sh5.nominal_step)
+    with pytest.raises(ValueError) as synthesized:
+        p.generate_stack(defocus_truth, background, contrast, spec.nominal_step, spec.n_steps,
+                         noise_sigma=noise_sigma)
+    with pytest.raises(ValueError) as montecarlo:
+        p.montecarlo_repeatability(defocus_truth, spec, background=background,
+                                   contrast=contrast, noise_sigma=noise_sigma, trials=2)
+    assert type(montecarlo.value) is type(synthesized.value)
+    assert str(montecarlo.value) == str(synthesized.value)
+
+
 def test_montecarlo_validation(sh5, defocus_truth):
     with pytest.raises(ValueError):
         p.montecarlo_repeatability(defocus_truth, sh5, trials=1)
