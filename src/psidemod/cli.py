@@ -78,6 +78,8 @@ def parse_angle(text) -> float:
     sign = -1.0 if match.group(1) else 1.0
     numerator = float(match.group(2)) if match.group(2) else 1.0
     denominator = float(match.group(3)) if match.group(3) else 1.0
+    if denominator == 0.0:
+        raise ValueError(f"angle {text!r} divides by zero")
     return sign * numerator * np.pi / denominator
 
 
@@ -97,11 +99,14 @@ def parse_carrier(text):
 
 
 def parse_demod_carrier(text):
-    """Like parse_carrier, but 'auto' and 'estimate' pass through."""
+    """Like parse_carrier, but 'auto' and 'estimate' pass through and 'none' is refused."""
     s = str(text).strip().lower()
     if s in ("auto", "estimate"):
         return s
-    return parse_carrier(text)
+    carrier = parse_carrier(text)
+    if carrier is None:
+        raise ValueError("demod carrier must be 'auto', 'estimate' or 'u0[,v0]'")
+    return carrier
 
 
 def parse_float_list(text):
@@ -136,7 +141,7 @@ def _error_family(spec_text: str):
 def _build_schedule(spec_text: str, n_frames: int, nominal_step: float, seed) -> ErrorSchedule:
     kind, argument = _error_family(spec_text)
     if kind == "fixed":
-        return ErrorSchedule(np.asarray(parse_float_list(argument), dtype=np.float64))
+        return ErrorSchedule(parse_float_list(argument))
     return make_error_schedule(kind, n_frames, magnitude=argument, nominal_step=nominal_step, seed=seed)
 
 
@@ -146,51 +151,32 @@ def _build_psa(params) -> PsaSpec:
         return sh5_spec()
     if params[name] is None or params["psa_step"] is None:
         raise ValueError(f"psa {name!r} requires --{name} and --psa-step")
-    values = np.asarray(params[name], dtype=np.float64)
-    build = PsaSpec if name == "taps" else taps_from_zeros
-    return build(values, float(params["psa_step"]))
+    return (PsaSpec if name == "taps" else taps_from_zeros)(params[name], params["psa_step"])
 
 
 def _build_mask(params) -> SpectralMask | None:
     if params["cutoff"] is not None:
-        return SpectralMask(float(params["cutoff"]), params["border_crop"])
+        return SpectralMask(params["cutoff"], params["border_crop"])
     if params["border_crop"] is not None:
         raise ValueError("border_crop without cutoff is ambiguous; give both")
     return None
 
 
 def _build_truth(params) -> PhaseMap:
-    return synthesize_wavefront(
-        params["wavefront"],
-        params["amplitude"],
-        (int(params["height"]), int(params["width"])),
-        coefficients=params.get("coefficients"),
-    )
+    return synthesize_wavefront(params["wavefront"], params["amplitude"],
+                                (params["height"], params["width"]), params["coefficients"])
 
 
-def _carrier_from_value(value) -> CarrierSpec | None:
-    if value is None:
-        return None
-    return CarrierSpec(float(value[0]), float(value[1]))
+def _carrier(value) -> CarrierSpec | None:
+    return None if value is None else CarrierSpec(*value)
 
 
 def _synthesize_stack(params):
     truth = _build_truth(params)
-    schedule = _build_schedule(
-        params["errors"], int(params["frames"]), float(params["omega0"]), params["error_seed"]
-    )
-    carrier = _carrier_from_value(params["carrier"])
-    stack = generate_stack(
-        truth,
-        float(params["background"]),
-        float(params["contrast"]),
-        float(params["omega0"]),
-        int(params["frames"]),
-        errors=schedule,
-        carrier=carrier,
-        noise_sigma=float(params["noise_sigma"]),
-        seed=params["seed"],
-    )
+    schedule = _build_schedule(params["errors"], params["frames"], params["omega0"], params["error_seed"])
+    stack = generate_stack(truth, params["background"], params["contrast"], params["omega0"],
+                           params["frames"], errors=schedule, carrier=_carrier(params["carrier"]),
+                           noise_sigma=params["noise_sigma"], seed=params["seed"])
     return stack, truth
 
 
@@ -252,6 +238,8 @@ _SYNTH = _GRID + ("background", "contrast", "omega0", "frames", "errors", "error
                   "noise_sigma", "seed")
 _PSA = ("psa", "taps", "psa_step", "zeros")
 _MASK = ("cutoff", "border_crop")
+# passed to montecarlo_repeatability under their own names
+_MONTECARLO = ("method", "trials", "seed", "background", "contrast", "noise_sigma", "crop")
 
 # temporal-only demodulation of a detuned 5-step run: the conjugate lobe
 # and the double-frequency ripple are left in plain view
@@ -310,7 +298,7 @@ _PARSED = {
     float: (_number, "a number"),
     parse_angle: (_number, "a number"),
     parse_carrier: (lambda v: v is None or _numbers(v, 2), "null or a [u0, v0] pair"),
-    parse_demod_carrier: (lambda v: v is None or _numbers(v, 2), "null or a [u0, v0] pair"),
+    parse_demod_carrier: (lambda v: _numbers(v, 2), "a [u0, v0] pair"),
     parse_float_list: (_numbers, "a list of numbers"),
     parse_angle_list: (_numbers, "a list of numbers"),
     parse_coefficients: (lambda v: isinstance(v, list), "a nested list"),
@@ -361,10 +349,8 @@ def _resolve_params(command: str, args) -> dict:
 
 def _cut_row(params: dict, height: int) -> int | None:
     """The requested line-cut row, refused unless it lies on the map."""
-    if params["line_cut_row"] is None:
-        return None
-    row = int(params["line_cut_row"])
-    if not 0 <= row < height:
+    row = params["line_cut_row"]
+    if row is not None and not 0 <= row < height:
         raise ValueError(f"line-cut row {row} outside a {height}-row map")
     return row
 
@@ -374,17 +360,16 @@ def _write_gray(path: Path, values: np.ndarray) -> None:
 
 
 def _run_simulate(params: dict, out: Path) -> None:
+    leak = params["artifact_leak"]
+    row = None if leak is None else _cut_row(params, params["height"])
     stack, truth = _synthesize_stack(params)
+    error_map = None if leak is None else predicted_error_map(truth, ConjugatePair(1.0, leak))
     save_stack(out, stack, params["stem"])
     save_phase_map(out / "truth", truth)
     if params["preview"]:
         _write_gray(out / "frame_000.pgm", stack.frames[0])
-    if params["artifact_leak"] is not None:
-        leak = float(params["artifact_leak"])
-        pair = ConjugatePair(1.0 + 0.0j, leak + 0.0j)
-        error_map = predicted_error_map(truth, pair)
+    if error_map is not None:
         save_phase_map(out / "predicted_error", error_map)
-        row = _cut_row(params, truth.height)
         if row is not None:
             write_line_cut_csv(
                 out / "error_cut.csv",
@@ -396,21 +381,41 @@ def _run_simulate(params: dict, out: Path) -> None:
 
 
 def _run_demod(params: dict, out: Path) -> None:
-    if params["stack"] is not None:
-        stack = load_stack(params["stack"])
-        truth = None
-    else:
-        stack, truth = _synthesize_stack(params)
-        save_stack(out, stack, "stack")
-        save_phase_map(out / "truth", truth)
-
+    """Refuse on parameters alone before any output, then demodulate and write."""
+    method = params["method"]
+    request = params["demod_carrier"]
+    spatial = method == "spatial"
+    if params["compare_truth"] and params["stack"] is not None:
+        raise ValueError("compare-truth needs a synthesized stack whose truth is known")
     spec = _build_psa(params)
+    mask = _build_mask(params) if spatial else None
+    carrier = CarrierSpec(*request) if spatial and request not in ("auto", "estimate") else None
+    if params["stack"] is None:
+        stack, truth = _synthesize_stack(params)
+    else:
+        stack, truth = load_stack(params["stack"]), None
+    row = _cut_row(params, stack.height)
+
     temporal = demodulate_temporal(stack, spec)
     if params["export_spectrum"]:
         export_spectrum(out / "spectrum", temporal)
-
-    method = params["method"]
-    if method == "temporal":
+    # before the phase step: written after it, some fig8 runs peaked 3 MB higher in RSS
+    if truth is not None:
+        save_stack(out, stack, "stack")
+        save_phase_map(out / "truth", truth)
+    if spatial:
+        phase, field, diag = spatial_from_temporal(
+            temporal,
+            carrier=carrier,
+            metadata_carrier=None if request == "estimate" else stack.metadata.carrier,
+            mask=mask,
+            apply_filter=params["filter"],
+        )
+        diagnostics = {"method": "spatial", **diag.to_dict()}
+        crop = diag.mask.border_crop
+        # unfiltered, the returned field is already the carrier-removed one
+        cut_columns = {"filtered" if params["filter"] else "unfiltered": phase}
+    else:
         phase, valid = field_phase(temporal)
         field = temporal
         diagnostics = {
@@ -419,51 +424,29 @@ def _run_demod(params: dict, out: Path) -> None:
         }
         crop = 0
         cut_columns = {"phase": phase}
-    else:
-        carrier_request = params["demod_carrier"]
-        if carrier_request is None:
-            raise ValueError("demod carrier must be 'auto', 'estimate' or 'u0[,v0]'")
-        named = carrier_request not in ("auto", "estimate")
-        phase, field, diag = spatial_from_temporal(
-            temporal,
-            carrier=_carrier_from_value(carrier_request) if named else None,
-            metadata_carrier=None if carrier_request == "estimate" else stack.metadata.carrier,
-            mask=_build_mask(params),
-            apply_filter=params["filter"],
-        )
-        diagnostics = {"method": "spatial", **diag.to_dict()}
-        crop = diag.mask.border_crop
-        # unfiltered, the returned field is already the carrier-removed one
-        cut_columns = {"filtered" if params["filter"] else "unfiltered": phase}
-    reference = None if truth is None else PhaseMap(
-        _reference(truth, method, stack.metadata.carrier), wrapped=True)
 
+    if truth is not None:
+        reference = PhaseMap(_reference(truth, method, stack.metadata.carrier), wrapped=True)
     save_phase_map(out / "phase", phase)
     save_complex_field(out / "field", field)
     dump_json(out / "diagnostics.json", diagnostics)
-
-    row = _cut_row(params, phase.height)
     if row is not None:
-        if method == "spatial" and params["filter"]:
+        if spatial and params["filter"]:
             cut_columns["unfiltered"], _ = field_phase(remove_carrier(temporal, diag.carrier))
         columns = {name: column.values[row] for name, column in cut_columns.items()}
-        if reference is not None:
+        if truth is not None:
             columns["reference"] = reference.values[row]
             columns["error"] = wrap(phase.values[row] - reference.values[row])
         write_line_cut_csv(out / "line_cut.csv", columns)
-
     if params["compare_truth"]:
-        if reference is None:
-            raise ValueError("compare-truth needs a synthesized stack whose truth is known")
-        diff = wrapped_diff(phase, reference)
-        residual, report = remove_piston_tilt(diff, crop=crop)
+        residual, report = remove_piston_tilt(wrapped_diff(phase, reference), crop=crop)
         save_phase_map(out / "residual", residual)
         dump_json(out / "report.json", {"method": method, **report.to_dict()})
 
 
 def _run_ftf(params: dict, out: Path) -> None:
     spec = _build_psa(params)
-    omegas, values = ftf_sweep(spec, int(params["samples"]))
+    omegas, values = ftf_sweep(spec, params["samples"])
     write_ftf_csv(out / "ftf.csv", omegas, values)
     passband = complex(np.sum(spec.coefficients))
     dump_json(
@@ -484,36 +467,25 @@ def _run_compare(params: dict, out: Path) -> None:
     first = load_phase_map(params["phase1"])
     second = load_phase_map(params["phase2"])
     diff = wrapped_diff(first, second)
-    residual, report = remove_piston_tilt(diff, crop=int(params["crop"]), tilt=params["tilt"])
+    residual, report = remove_piston_tilt(diff, crop=params["crop"], tilt=params["tilt"])
     save_phase_map(out / "residual", residual)
     dump_json(out / "report.json", report.to_dict())
     if params["pgm"]:
-        gain = float(params["gain"])
-        _write_gray(out / "residual.pgm", (residual.values * gain + np.pi) / TWO_PI * 255)
+        _write_gray(out / "residual.pgm", (residual.values * params["gain"] + np.pi) / TWO_PI * 255)
 
 
 def _run_montecarlo(params: dict, out: Path) -> None:
-    truth = _build_truth(params)
-    spec = _build_psa(params)
-    carrier = _carrier_from_value(params["carrier"])
-    mask = _build_mask(params)
     kind, magnitude = _error_family(params["errors"])
     if kind == "fixed":
         raise ValueError("monte-carlo runs need a random error family, not 'fixed'")
     summary = montecarlo_repeatability(
-        truth,
-        spec,
-        method=params["method"],
-        carrier=carrier,
-        mask=mask,
+        _build_truth(params),
+        _build_psa(params),
+        carrier=_carrier(params["carrier"]),
+        mask=_build_mask(params),
         error_kind=kind,
         error_magnitude=magnitude,
-        trials=int(params["trials"]),
-        seed=int(params["seed"]),
-        background=float(params["background"]),
-        contrast=float(params["contrast"]),
-        noise_sigma=float(params["noise_sigma"]),
-        crop=params["crop"],
+        **{name: params[name] for name in _MONTECARLO},
     )
     dump_json(out / "summary.json", summary.to_dict())
     write_montecarlo_csv(out / "trials.csv", summary)
@@ -531,8 +503,7 @@ COMMANDS = {
     "compare": ("difference two phase maps", _run_compare,
                 ("phase1", "phase2", "crop", "tilt", "gain", "pgm"), {"crop": 0}),
     "montecarlo": ("repeatability study over random error schedules", _run_montecarlo,
-                   _GRID + _PSA + ("method", "carrier") + _MASK
-                   + ("errors", "trials", "seed", "background", "contrast", "noise_sigma", "crop"),
+                   _GRID + _PSA + ("carrier",) + _MASK + ("errors",) + _MONTECARLO,
                    {"errors": "uniform:0.3"}),
 }
 

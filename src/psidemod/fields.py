@@ -84,6 +84,13 @@ def _validated(values, dtype, what, min_shape) -> np.ndarray:
     return v
 
 
+def _nominal_step(value) -> float:
+    step = float(value)
+    if not np.isfinite(step) or step == 0.0:
+        raise ValueError(f"nominal step must be finite and nonzero, got {step!r}")
+    return step
+
+
 class _Grid:
     """Row-major grid properties of a (height, width) ``shape``, by default
     that of a 2D ``values`` array."""
@@ -206,12 +213,8 @@ class InterferogramStack(_Grid):
     metadata: StackMetadata = field(default_factory=StackMetadata)
 
     def __post_init__(self):
-        f = _validated(self.frames, np.float64, "stack frames", (3, 2, 2))
-        step = float(self.nominal_step)
-        if not np.isfinite(step) or step == 0.0:
-            raise ValueError(f"nominal step must be finite and nonzero, got {step!r}")
-        _freeze(self, "frames", f)
-        object.__setattr__(self, "nominal_step", step)
+        _freeze(self, "frames", _validated(self.frames, np.float64, "stack frames", (3, 2, 2)))
+        object.__setattr__(self, "nominal_step", _nominal_step(self.nominal_step))
 
     @property
     def n_frames(self) -> int:
@@ -388,7 +391,7 @@ def generate_stack(
     background, contrast, noise_sigma, cos, sin = _synthesis_inputs(
         truth, background, contrast, n_frames, carrier, noise_sigma
     )
-    nominal_step = float(nominal_step)
+    nominal_step = _nominal_step(nominal_step)
     if errors is None:
         errors = ErrorSchedule(np.zeros(n_frames))
     if errors.n_frames != n_frames:

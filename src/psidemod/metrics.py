@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -202,17 +202,7 @@ class MonteCarloSummary:
         return len(self.failures)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "trials": self.trials,
-            "seed": self.seed,
-            "error_kind": self.error_kind,
-            "error_magnitude": self.error_magnitude,
-            "pv_waves": list(self.pv_waves),
-            "leak_ratios": list(self.leak_ratios),
-            "failures": [list(f) for f in self.failures],
-            "percentiles": dict(self.percentiles),
-        }
+        return asdict(self)
 
 
 def montecarlo_repeatability(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RefusalError
-from .fields import TWO_PI, ComplexField, InterferogramStack, PhaseMap, _Owned, wrap
+from .fields import TWO_PI, ComplexField, InterferogramStack, PhaseMap, _nominal_step, _Owned, wrap
 
 # a coefficient vector counts as real when its imaginary part is at this
 # relative level; as background-rejecting when |H(0)| is
@@ -61,12 +61,9 @@ class PsaSpec:
             raise ValueError("tap coefficients must be finite")
         if not np.any(c != 0):
             raise ValueError("tap coefficients are all zero")
-        step = float(self.nominal_step)
-        if not np.isfinite(step) or step == 0.0:
-            raise ValueError(f"nominal step must be finite and nonzero, got {step!r}")
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "nominal_step", step)
+        object.__setattr__(self, "nominal_step", _nominal_step(self.nominal_step))
 
     @property
     def n_steps(self) -> int:
@@ -143,7 +140,7 @@ def taps_from_zeros(zeros, nominal_step) -> PsaSpec:
         raise ValueError("need at least one zero location")
     if not np.all(np.isfinite(zs)):
         raise ValueError("zero locations must be finite")
-    step = float(nominal_step)
+    step = _nominal_step(nominal_step)
     for z in zs:
         if abs(float(wrap(z + step))) < 1e-9:
             raise RefusalError(

@@ -9,7 +9,7 @@ import pytest
 
 import psidemod as p
 from psidemod import cli
-from psidemod.formats import load_phase_map, save_stack
+from psidemod.formats import dump_json, load_phase_map, save_stack
 
 from conftest import FIXED_SCHEDULE, make_bandlimited
 
@@ -284,6 +284,67 @@ def test_demod_bad_parameters_exit_2(tmp_path):
         "demod", "--out", tmp_path / "c", "--psa", "taps",
     )
     assert code == 2 and "taps" in err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("demod", "--stack", "s/stack.json", "--compare-truth"),
+         "compare-truth needs a synthesized stack whose truth is known"),
+        (("demod", "--width", 64, "--height", 64, "--line-cut-row", 99),
+         "line-cut row 99 outside a 64-row map"),
+        (("demod", "--stack", "s/stack.json", "--export-spectrum", "--line-cut-row", 64),
+         "line-cut row 64 outside a 64-row map"),
+        (("simulate", "--width", 64, "--height", 64, "--artifact-leak", 0.1, "--line-cut-row", 99),
+         "line-cut row 99 outside a 64-row map"),
+        (("simulate", "--width", 64, "--height", 64, "--artifact-leak", 1.5),
+         "leak ratio r = 1.5 >= 1"),
+    ],
+)
+def test_parameter_refusals_write_nothing(tmp_path, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
+    save_stack("s", p.generate_stack(p.synthesize_wavefront("defocus", 1.0, (64, 64)),
+                                     128.0, 100.0, np.pi / 2, 5))
+    code, _, err = run_cli(*args, "--out", "x")
+    assert code == 2
+    assert message in err
+    assert dir_bytes(tmp_path / "x") == {}
+
+
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_demod_non_finite_omega0_refused(tmp_path, step):
+    code, _, err = run_cli("demod", "--width", 32, "--height", 32, "--omega0", step,
+                           "--out", tmp_path / "x")
+    assert code == 2
+    assert "nominal step must be finite and nonzero" in err
+
+
+@pytest.mark.parametrize("method", ["temporal", "spatial"])
+@pytest.mark.parametrize(
+    "source, value, message",
+    [
+        ("flag", "none", "argument --demod-carrier: invalid"),
+        ("config", "none", "demod carrier must be 'auto', 'estimate' or 'u0[,v0]'"),
+        ("config", None, "config file sets 'demod_carrier' to None, not a [u0, v0] pair"),
+        ("manifest", "none", "demod carrier must be 'auto', 'estimate' or 'u0[,v0]'"),
+        ("manifest", None, "manifest sets 'demod_carrier' to None, not a [u0, v0] pair"),
+    ],
+)
+def test_demod_carrier_none_refused_where_it_enters(tmp_path, method, source, value, message):
+    out = tmp_path / "x"
+    given = {"method": method, "carrier": [0.8, 0.0], "demod_carrier": value}
+    if source == "flag":
+        code, _, err = run_cli("demod", "--method", method, "--carrier", "0.8",
+                               "--demod-carrier", value, "--out", out)
+    elif source == "config":
+        dump_json(tmp_path / "cfg.json", given)
+        code, _, err = run_cli("demod", "--config", tmp_path / "cfg.json", "--out", out)
+    else:
+        dump_json(tmp_path / "m.json", {"command": "demod", "parameters": given})
+        code, _, err = run_cli("replay", tmp_path / "m.json", "--out", out)
+    assert code == 2
+    assert message in err
+    assert not out.exists() or dir_bytes(out) == {}
 
 
 # --- ftf ---
@@ -662,6 +723,20 @@ def test_parse_angle():
     assert cli.parse_angle(-2) == -2.0
     with pytest.raises(ValueError):
         cli.parse_angle("about pi")
+
+
+@pytest.mark.parametrize("text", ["pi/0", "-pi/0.0"])
+def test_parse_angle_refuses_a_zero_denominator(tmp_path, text):
+    with pytest.raises(ValueError, match="divides by zero"):
+        cli.parse_angle(text)
+    code, _, err = run_cli("ftf", "--psa", "zeros", "--zeros", "pi/2", f"--psa-step={text}",
+                           "--out", tmp_path / "f")
+    assert code == 2
+    assert "argument --psa-step: invalid parse_angle value" in err
+    dump_json(tmp_path / "cfg.json", {"omega0": text})
+    code, _, err = run_cli("simulate", "--config", tmp_path / "cfg.json", "--out", tmp_path / "s")
+    assert code == 2
+    assert f"angle {text!r} divides by zero" in err
 
 
 def test_parse_carrier():

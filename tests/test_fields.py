@@ -208,6 +208,16 @@ def test_generate_stack_intensity_validation(defocus_truth):
         p.generate_stack(defocus_truth, 50.0, 100.0, np.pi / 2, 5)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf])
+def test_generate_stack_refuses_a_bad_nominal_step_before_synthesis(step):
+    # refused before synthesis: a non-finite step must not reach the trig of
+    # the frames, where it warns and overflows
+    truth = p.synthesize_wavefront("defocus", 1.0, (16, 16))
+    with pytest.raises(ValueError, match="nominal step must be finite and nonzero"):
+        p.generate_stack(truth, 128.0, 100.0, step, 5)
+
+
 def test_stack_validation(defocus_truth):
     with pytest.raises(ValueError):
         p.InterferogramStack(np.zeros((2, 8, 8)), np.pi / 2)

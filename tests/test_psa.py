@@ -96,6 +96,15 @@ def test_taps_from_zeros_passband_refused():
         p.taps_from_zeros([-np.pi / 2], np.pi / 2)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("step", [np.nan, np.inf])
+def test_taps_from_zeros_refuses_a_bad_nominal_step(step):
+    # refused before the zeros are placed, where the step would warn or
+    # leave non-finite taps
+    with pytest.raises(ValueError, match="nominal step must be finite and nonzero"):
+        p.taps_from_zeros([np.pi / 2], step)
+
+
 def test_psa_spec_validation():
     with pytest.raises(ValueError):
         p.PsaSpec(np.array([1.0]), np.pi / 2)

@@ -5,9 +5,9 @@ Usage, from the repository root:
     python3 tools/output_digest.py                 # this checkout's src/
     python3 tools/output_digest.py --src OTHER/src  # another checkout
 
-Each command runs as ``python -m psidemod.cli`` in a fresh temporary
-directory with relative paths, so the digests do not depend on where the
-directory lives.  Two runs of one checkout must print identical lists
+Each command runs as ``python -W error -m psidemod.cli`` in a fresh
+temporary directory with relative paths, so the digests do not depend on
+where the directory lives, and a stray numpy warning fails the command.  Two runs of one checkout must print identical lists
 (replay determinism); diffing the lists of two checkouts shows which output
 files a change altered:
 
@@ -64,8 +64,8 @@ def digests(src: Path) -> list[str]:
     env = {**os.environ, "PYTHONPATH": str(src)}
     with tempfile.TemporaryDirectory() as tmp:
         for out, args in COMMANDS:
-            run = subprocess.run([sys.executable, "-m", "psidemod.cli", *args, "--out", out],
-                                 cwd=tmp, env=env, capture_output=True, text=True)
+            command = [sys.executable, "-W", "error", "-m", "psidemod.cli", *args, "--out", out]
+            run = subprocess.run(command, cwd=tmp, env=env, capture_output=True, text=True)
             if run.returncode != 0:
                 sys.exit(f"output_digest: '{' '.join(args)}' exited {run.returncode}: "
                          f"{run.stderr.strip()}")
