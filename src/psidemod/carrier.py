@@ -251,16 +251,21 @@ def _spectral_chain(field, carrier, mask, apply_filter=True, guard=False):
     return band, bandwidth, _keep_disc(spectrum, mask.cutoff)
 
 
-def _guard_band(in_band: np.ndarray, shape, carrier: CarrierSpec, mask: SpectralMask,
-                apply_filter: bool = True) -> float:
-    """Apply the refusals of :func:`spatial_from_temporal` to a carrier-removed
-    spectrum, given its bins inside the carrier disc, and return the occupied
-    signal bandwidth in rad/px."""
+def _cutoff_below(carrier: CarrierSpec, mask: SpectralMask) -> None:
+    """Refuse a mask whose cutoff reaches the carrier magnitude; needs no data."""
     if mask.cutoff >= carrier.magnitude:
         raise RefusalError(
             f"mask cutoff {mask.cutoff:.6g} rad/px must stay below the carrier "
             f"magnitude {carrier.magnitude:.6g} rad/px"
         )
+
+
+def _guard_band(in_band: np.ndarray, shape, carrier: CarrierSpec, mask: SpectralMask,
+                apply_filter: bool = True) -> float:
+    """Apply the refusals of :func:`spatial_from_temporal` to a carrier-removed
+    spectrum, given its bins inside the carrier disc, and return the occupied
+    signal bandwidth in rad/px."""
+    _cutoff_below(carrier, mask)
     magnitude = np.abs(in_band)
     peak = float(magnitude.max())
     if peak == 0.0:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .carrier import SpectralMask, remove_carrier, spatial_from_temporal
+from .carrier import SpectralMask, _cutoff_below, remove_carrier, spatial_from_temporal
 from .conjugate import ConjugatePair, predicted_error_map
 from .errors import DegeneracyError
 from .fields import (
@@ -54,7 +54,7 @@ from .formats import (
     write_montecarlo_csv,
     write_pgm,
 )
-from .metrics import _reference, montecarlo_repeatability, remove_piston_tilt, wrapped_diff
+from .metrics import _interior, _reference, montecarlo_repeatability, remove_piston_tilt, wrapped_diff
 from .psa import PsaSpec, demodulate_temporal, field_phase, ftf_sweep, sh5_spec, taps_from_zeros
 
 EXIT_OK = 0
@@ -395,6 +395,16 @@ def _run_demod(params: dict, out: Path) -> None:
     else:
         stack, truth = load_stack(params["stack"]), None
     row = _cut_row(params, stack.height)
+    recorded = None if request == "estimate" else stack.metadata.carrier
+    if spatial:
+        # a named or recorded carrier settles the mask now; an estimated one
+        # is known only after the temporal step, and so is its default mask
+        known = carrier if carrier is not None else recorded
+        resolved = mask if mask is not None or known is None else SpectralMask.for_carrier(known)
+        if known is not None:
+            _cutoff_below(known, resolved)
+        if resolved is not None and params["compare_truth"]:
+            _interior((stack.height, stack.width), resolved.border_crop)
 
     temporal = demodulate_temporal(stack, spec)
     if params["export_spectrum"]:
@@ -407,7 +417,7 @@ def _run_demod(params: dict, out: Path) -> None:
         phase, field, diag = spatial_from_temporal(
             temporal,
             carrier=carrier,
-            metadata_carrier=None if request == "estimate" else stack.metadata.carrier,
+            metadata_carrier=recorded,
             mask=mask,
             apply_filter=params["filter"],
         )

@@ -58,7 +58,8 @@ class ConjugatePair:
 
     @property
     def well_posed(self) -> bool:
-        return self.a1 != 0 and math.isfinite(self.leak_ratio)
+        """|A1| and the leak ratio finite; the ratio is inf when A1 = 0."""
+        return math.isfinite(abs(self.a1)) and math.isfinite(self.leak_ratio)
 
 
 def conjugate_amplitudes(spec: PsaSpec, errors: ErrorSchedule, contrast=1.0) -> ConjugatePair:
@@ -82,11 +83,14 @@ def predicted_error_map(truth: PhaseMap, pair: ConjugatePair) -> PhaseMap:
 
     Returns wrap(phi - arg(A1 e^{i phi} + A2 e^{-i phi})), the error map a
     temporal-only demodulation of the given truth would show, including the
-    arg A1 piston.  Refuses when |A1| = 0 or when the leak ratio reaches 1,
-    where the recovered phase no longer tracks phi at all.
+    arg A1 piston.  Refuses unless the pair is well posed, and when the leak
+    ratio reaches 1, where the recovered phase no longer tracks phi at all.
     """
     if not pair.well_posed:
-        raise RefusalError("conjugate pair has |A1| = 0; the error map is undefined")
+        raise RefusalError(
+            f"conjugate pair has A1 = {pair.a1:.6g} and leak ratio r = {pair.leak_ratio:.6g}: "
+            "the error map needs A1 nonzero and both finite"
+        )
     r = pair.leak_ratio
     if r >= 1.0:
         raise RefusalError(

@@ -93,15 +93,17 @@ def remove_piston_tilt(diff: PhaseMap, crop: int = 0, tilt: bool = True):
     """
     rows, cols = _interior(diff.shape, crop)
     interior = diff.values[rows, cols]
-    # cos and sin go straight into the core, which frees them before its wrap
-    residual, report = _piston_tilt(diff.values, diff.wrapped, np.cos(interior), np.sin(interior),
+    residual, report = _piston_tilt(diff.values, diff.wrapped, [np.cos(interior), np.sin(interior)],
                                     (rows, cols), crop, tilt)
     return PhaseMap(_Owned(residual), wrapped=True), report
 
 
-def _piston_tilt(values, wrapped, cos, sin, interior, crop, tilt):
-    """:func:`remove_piston_tilt` from the first piston on, given cos and sin of
-    ``values`` over the (rows, cols) ``interior``; returns residual and report."""
+def _piston_tilt(values, wrapped, trig, interior, crop, tilt):
+    """:func:`remove_piston_tilt` from the first piston on, given ``trig``, the
+    list [cos, sin] of ``values`` over the (rows, cols) ``interior``, which it
+    empties so that the two free before the wrap; returns residual and report."""
+    cos, sin = trig
+    trig.clear()
     rows, cols = interior
     piston1 = float(np.arctan2(sin.sum(), cos.sum()))
     leveled = values - piston1
@@ -156,11 +158,13 @@ def _phasor_report(z, reference, crop):
     diff = np.angle(z)
     diff[diff == np.pi] = -np.pi
     if valid.all():
-        cos, sin = z.real / modulus, z.imag / modulus
+        trig = [z.real / modulus, z.imag / modulus]
     else:
         diff[~valid] = fold(-reference[rows, cols][~valid])
-        cos, sin = np.cos(diff), np.sin(diff)
-    return _piston_tilt(diff, True, cos, sin, (slice(None),) * 2, crop, True)[1]
+        trig = [np.cos(diff), np.sin(diff)]
+    # the interior views hold the full-grid modulus and mask alive until here
+    del modulus, valid
+    return _piston_tilt(diff, True, trig, (slice(None),) * 2, crop, True)[1]
 
 
 def _pv_rms(interior):
@@ -236,7 +240,8 @@ def montecarlo_repeatability(
     ``method`` is ``temporal`` (phase of the temporal field, artifact
     included) or ``spatial`` (carrier removal plus low-pass; requires a
     carrier).  ``crop`` defaults to the mask border crop for spatial runs
-    and 0 for temporal ones.
+    and 0 for temporal ones; a crop that leaves no interior raises
+    ``ValueError`` before any trial runs.
     """
     if method not in ("temporal", "spatial"):
         raise ValueError(f"unknown method {method!r}, expected 'temporal' or 'spatial'")
@@ -253,6 +258,7 @@ def montecarlo_repeatability(
             crop = mask.border_crop
     elif crop is None:
         crop = 0
+    _interior(truth.shape, crop)  # a crop no trial can compare on refuses before the basis
     reference = _reference(truth, method, carrier)
 
     # truth and carrier are fixed, so every trial shares one base phase;
@@ -275,13 +281,22 @@ def montecarlo_repeatability(
                 return band, filtered.values
             return np.zeros(0, dtype=np.complex128), field
 
-        # e^{i psi}, e^{-i psi} and the background, each once through the chain
-        unit = (cos + 1j * sin, cos - 1j * sin, np.ones(truth.shape))
-        bands, fields = map(np.stack, zip(*map(chain, unit)))
-        del unit, cos, sin
+        # e^{i psi}, e^{-i psi} and the background in one basis array; each slot
+        # goes once through the chain and takes back its filtered (temporal: own) field
+        fields = np.empty((3,) + truth.shape, dtype=np.complex128)
+        np.add(cos, 1j * sin, out=fields[0])
+        np.subtract(cos, 1j * sin, out=fields[1])
+        del cos, sin
+        fields[2] = 1.0
+        bands = [None] * 3
+        for slot in range(3):
+            bands[slot], fields[slot] = chain(fields[slot])
+        bands = np.stack(bands)
         # into the reference frame: each trial's sum is then its residual phasor
         rotation = np.exp(-1j * reference)
         fields *= rotation
+        if noise_sigma == 0.0:
+            del rotation
 
     children = np.random.SeedSequence(seed).spawn(trials)
     pvs, ratios, failures = [], [], []

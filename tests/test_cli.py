@@ -299,12 +299,38 @@ def test_demod_bad_parameters_exit_2(tmp_path):
          "line-cut row 99 outside a 64-row map"),
         (("simulate", "--width", 64, "--height", 64, "--artifact-leak", 1.5),
          "leak ratio r = 1.5 >= 1"),
+        (("simulate", "--width", 32, "--height", 32, "--artifact-leak", "nan"),
+         "leak ratio r = nan: the error map needs A1 nonzero and both finite"),
+        # a named, recorded or synthesized carrier settles the mask before any output
+        (("demod", "--width", 64, "--height", 64, "--method", "spatial", "--carrier", "pi/4",
+          "--cutoff", 1.0, "--export-spectrum"),
+         "mask cutoff 1 rad/px must stay below the carrier magnitude 0.785398 rad/px"),
+        (("demod", "--stack", "c/stack.json", "--method", "spatial", "--cutoff", 1.0,
+          "--export-spectrum"),
+         "mask cutoff 1 rad/px must stay below the carrier magnitude 0.785398 rad/px"),
+        (("demod", "--stack", "s/stack.json", "--method", "spatial", "--demod-carrier", "pi/4",
+          "--cutoff", 1.0, "--export-spectrum"),
+         "mask cutoff 1 rad/px must stay below the carrier magnitude 0.785398 rad/px"),
+        (("demod", "--width", 64, "--height", 64, "--method", "spatial", "--carrier", "pi/4",
+          "--cutoff", "pi/8", "--border-crop", 40, "--compare-truth"),
+         "crop 40 px leaves under 2 interior pixels on a 64x64 map"),
+        # the default crop ceil(2 pi / cutoff) of the default mask
+        (("demod", "--width", 32, "--height", 32, "--method", "spatial", "--carrier", "pi/4",
+          "--compare-truth"),
+         "crop 16 px leaves under 2 interior pixels on a 32x32 map"),
+        # a given mask's crop needs no carrier
+        (("demod", "--width", 64, "--height", 64, "--method", "spatial", "--carrier", "pi/4",
+          "--demod-carrier", "estimate", "--cutoff", "pi/8", "--border-crop", 40,
+          "--compare-truth"),
+         "crop 40 px leaves under 2 interior pixels on a 64x64 map"),
     ],
 )
 def test_parameter_refusals_write_nothing(tmp_path, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)
-    save_stack("s", p.generate_stack(p.synthesize_wavefront("defocus", 1.0, (64, 64)),
-                                     128.0, 100.0, np.pi / 2, 5))
+    truth = p.synthesize_wavefront("defocus", 1.0, (64, 64))
+    save_stack("s", p.generate_stack(truth, 128.0, 100.0, np.pi / 2, 5))
+    save_stack("c", p.generate_stack(truth, 128.0, 100.0, np.pi / 2, 5,
+                                     carrier=p.CarrierSpec(np.pi / 4)))
     code, _, err = run_cli(*args, "--out", "x")
     assert code == 2
     assert message in err

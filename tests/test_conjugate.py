@@ -65,6 +65,14 @@ def test_degenerate_pair_refuses_error_map():
         p.predicted_error_map(truth, pair)
 
 
+@pytest.mark.parametrize("a1, a2", [(1.0, np.nan), (1.0, np.inf), (np.inf, 0.1), (1e-300, 1e300)])
+def test_non_finite_pair_refuses_error_map_as_such(a1, a2):
+    pair = p.ConjugatePair(a1, a2)
+    assert not pair.well_posed
+    with pytest.raises(RefusalError, match=r"leak ratio r = \S+: the error map needs A1 nonzero"):
+        p.predicted_error_map(make_ramp(16), pair)
+
+
 def test_error_map_zero_without_conjugate():
     truth = make_ramp(256)
     error = p.predicted_error_map(truth, p.ConjugatePair(1.0, 0.0))

@@ -350,6 +350,20 @@ def test_montecarlo_superposition_matches_pipeline(height, width, angle, speed, 
     assert np.allclose(summary.pv_waves, pvs, rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("method, crop", [("spatial", 40), ("spatial", None), ("temporal", 32)])
+def test_montecarlo_bad_crop_refuses_before_the_basis(sh5, method, crop):
+    # a 64^2 map: crop 32 leaves no row, nor does 40, and the default mask
+    # of a 0.2 rad/px carrier crops ceil(2 pi / 0.1) = 63 px
+    truth = p.synthesize_wavefront("defocus", 1.0, (64, 64))
+    carrier = p.CarrierSpec(0.2 if crop is None else np.pi / 4)
+    expected = crop if crop is not None else 63
+    with mock.patch.object(metrics, "_synthesis_inputs", side_effect=AssertionError) as synth:
+        with pytest.raises(ValueError, match=f"crop {expected} px leaves under 2 interior pixels"):
+            p.montecarlo_repeatability(truth, sh5, method=method, carrier=carrier, trials=2,
+                                       crop=crop)
+    assert synth.call_count == 0
+
+
 @pytest.mark.parametrize("u0", [0.25, 0.5])
 def test_montecarlo_carrier_below_slope_fails_every_trial(sh5, u0):
     # a tilt of exactly 0.5 rad/px: the carrier sits below or at the slope

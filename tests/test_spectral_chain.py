@@ -277,3 +277,21 @@ def test_filtered_spatial_demod_peak_allocation_stays_within_twice_the_field():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * temporal.values.nbytes, peak / temporal.values.nbytes
+
+
+def test_spatial_montecarlo_peak_allocation_holds_the_basis_once(sh5):
+    # the (3, H, W) basis, one trial's sum and its compare come to about 6.5
+    # fields; a second copy of the basis would not fit under 8
+    carrier = p.CarrierSpec(np.pi / 4, 0.1)
+    truth = p.synthesize_wavefront("defocus", 2.0, (192, 256))
+    field_bytes = np.dtype(np.complex128).itemsize * truth.values.size
+    kwargs = dict(method="spatial", carrier=carrier, trials=4, seed=3)
+    p.montecarlo_repeatability(truth, sh5, **kwargs)  # fills the disc cache
+    tracemalloc.start()
+    try:
+        summary = p.montecarlo_repeatability(truth, sh5, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.n_failed == 0
+    assert peak <= 8 * field_bytes, peak / field_bytes

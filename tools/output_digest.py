@@ -56,6 +56,11 @@ COMMANDS = (
     ("montecarlo-temporal-noise", ["montecarlo", "--method", "temporal", "--width", "64",
                                    "--height", "48", "--carrier", "0.8,0.3",
                                    "--noise-sigma", "0.5", "--trials", "12", "--seed", "5"]),
+    # spatial noise keeps the rotation: odd, non-square grid, oblique carrier
+    ("montecarlo-spatial-noise-65x48", ["montecarlo", "--method", "spatial", "--width", "65",
+                                        "--height", "48", "--carrier", "0.8,-0.5",
+                                        "--cutoff", "0.35", "--border-crop", "6",
+                                        "--noise-sigma", "0.5", "--trials", "8", "--seed", "7"]),
     ("ftf-fig2", ["ftf", "--preset", "fig2"]),
 )
 
