@@ -331,18 +331,22 @@ def make_error_schedule(kind, n_frames, magnitude=0.0, nominal_step=None, seed=N
 
 
 def _max_slope_along(truth: PhaseMap, carrier: CarrierSpec) -> float:
-    gy, gx = np.gradient(truth.values)
-    mag = carrier.magnitude
-    directional = (gx * carrier.u0 + gy * carrier.v0) / mag
+    # an axis the carrier has no component on adds a signed zero to each
+    # finite term, which changes nothing, so it is not differentiated
+    u0, v0, mag = carrier.u0, carrier.v0, carrier.magnitude
+    if v0 == 0.0:
+        directional = np.gradient(truth.values, axis=1) * u0 / mag
+    elif u0 == 0.0:
+        directional = np.gradient(truth.values, axis=0) * v0 / mag
+    else:
+        gy, gx = np.gradient(truth.values)
+        directional = (gx * u0 + gy * v0) / mag
     return float(np.abs(directional).max())
 
 
-def _synthesis_inputs(truth: PhaseMap, background, contrast, n_frames, carrier, noise_sigma):
-    """:func:`generate_stack`'s checks and refusals that need no schedule.
-
-    Returns the validated background, contrast and noise sigma, and cos and
-    sin of the base phase ``truth + carrier``.
-    """
+def _synthesis_scalars(background, contrast, n_frames, noise_sigma):
+    """:func:`generate_stack`'s checks of its scalar parameters; returns the
+    validated background, contrast and noise sigma."""
     background = float(background)
     contrast = float(contrast)
     noise_sigma = float(noise_sigma)
@@ -354,7 +358,12 @@ def _synthesis_inputs(truth: PhaseMap, background, contrast, n_frames, carrier, 
         raise ValueError(f"stack needs at least 3 frames, got {n_frames}")
     if noise_sigma < 0.0 or not np.isfinite(noise_sigma):
         raise ValueError(f"noise sigma must be finite and >= 0, got {noise_sigma!r}")
+    return background, contrast, noise_sigma
 
+
+def _synthesis_trig(truth: PhaseMap, carrier):
+    """:func:`generate_stack`'s slope refusal, then cos and sin of the base
+    phase ``truth + carrier``; neither depends on the schedule."""
     base = truth.values
     if carrier is not None:
         slope = _max_slope_along(truth, carrier)
@@ -364,7 +373,7 @@ def _synthesis_inputs(truth: PhaseMap, background, contrast, n_frames, carrier, 
                 f"wavefront slope {slope:.6g} rad/px along the carrier direction"
             )
         base = truth.values + carrier.phase_field(truth.shape)
-    return background, contrast, noise_sigma, np.cos(base), np.sin(base)
+    return np.cos(base), np.sin(base)
 
 
 def generate_stack(
@@ -388,9 +397,9 @@ def generate_stack(
     a generator seeded with ``seed``; generation is bit-reproducible.
     """
     n_frames = int(n_frames)
-    background, contrast, noise_sigma, cos, sin = _synthesis_inputs(
-        truth, background, contrast, n_frames, carrier, noise_sigma
-    )
+    background, contrast, noise_sigma = _synthesis_scalars(background, contrast, n_frames,
+                                                           noise_sigma)
+    cos, sin = _synthesis_trig(truth, carrier)
     nominal_step = _nominal_step(nominal_step)
     if errors is None:
         errors = ErrorSchedule(np.zeros(n_frames))

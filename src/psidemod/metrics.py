@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -13,8 +14,10 @@ from .fields import (
     CarrierSpec,
     ComplexField,
     PhaseMap,
+    _freeze,
     _Owned,
-    _synthesis_inputs,
+    _synthesis_scalars,
+    _synthesis_trig,
     fold,
     make_error_schedule,
     wrap,
@@ -209,6 +212,110 @@ class MonteCarloSummary:
         return asdict(self)
 
 
+class _TrialBasis:
+    """What every Monte-Carlo trial on one truth shares, or the slope refusal
+    (``refusal``) that fails each trial as :func:`generate_stack` would.
+
+    The (3, H, W) ``fields`` are the filtered (temporal: unfiltered) fields
+    of e^{i psi}, e^{-i psi} and the background, rotated by e^{-i reference}
+    into the reference frame, and ``bands`` their in-band bins.  A trial
+    with amplitudes A1, A2 is the weighted sum (A1, A2, background gain) of
+    both.  ``rotation`` is kept only for noise, which goes through the chain
+    per trial.  Every array is read-only, so a cached basis cannot change.
+    """
+
+    def __init__(self, truth: PhaseMap, taps, method, carrier, mask, background, noisy):
+        self.method, self.carrier, self.mask = method, carrier, mask
+        _freeze(self, "taps", taps)
+        _freeze(self, "reference", _reference(truth, method, carrier))
+        try:
+            cos, sin = _synthesis_trig(truth, carrier)
+        except RefusalError as exc:
+            self.refusal = str(exc)
+            return
+        self.refusal = None
+        self.background_gain = background * complex(np.sum(taps))
+        # e^{i psi}, e^{-i psi} and the background in one basis array; each slot
+        # goes once through the chain and takes back its filtered (temporal: own) field
+        fields = np.empty((3,) + truth.shape, dtype=np.complex128)
+        np.add(cos, 1j * sin, out=fields[0])
+        np.subtract(cos, 1j * sin, out=fields[1])
+        del cos, sin
+        fields[2] = 1.0
+        bands = [None] * 3
+        for slot in range(3):
+            bands[slot], fields[slot] = self._chain(fields[slot])
+        _freeze(self, "bands", np.stack(bands))
+        # into the reference frame: each trial's sum is then its residual phasor
+        rotation = np.exp(-1j * self.reference)
+        fields *= rotation
+        _freeze(self, "fields", fields)
+        self.rotation = None
+        if noisy:
+            _freeze(self, "rotation", rotation)
+
+    def _chain(self, field):
+        """In-band spectrum bins (none for temporal) and demodulated field;
+        of the mask only the cutoff is read."""
+        if self.method == "spatial":
+            band, _, filtered = _spectral_chain(ComplexField(_Owned(field)), self.carrier,
+                                                self.mask)
+            return band, filtered.values
+        return np.zeros(0, dtype=np.complex128), field
+
+    def trial(self, pair, noise_sigma, noise_seed):
+        """In-band bins and residual phasor z of the trial whose conjugate
+        pair is ``pair``, with the noise :func:`generate_stack` adds for
+        ``noise_seed`` when ``noise_sigma > 0``."""
+        weights = np.array([pair.a1, pair.a2, self.background_gain])
+        band, z = weights @ self.bands, np.tensordot(weights, self.fields, 1)
+        if noise_sigma > 0.0:
+            # the noise frames generate_stack adds for this seed, contracted
+            rng = np.random.default_rng(noise_seed)
+            noise = rng.normal(0.0, noise_sigma, size=(self.taps.size,) + z.shape)
+            noise_band, noise_field = self._chain(_contract(noise, self.taps))
+            band += noise_band
+            z += noise_field * self.rotation
+        return band, z
+
+
+# the last trial basis built, as (key, read-only copy of its truth's values,
+# basis, finalizer of its truth), or None
+_cached_basis = None
+
+
+def _drop_basis():
+    """Forget the cached trial basis, when its truth is collected or a new
+    basis replaces it."""
+    global _cached_basis
+    entry, _cached_basis = _cached_basis, None
+    if entry is not None:
+        entry[3].detach()
+
+
+def _trial_basis(truth: PhaseMap, taps, method, carrier, mask, background, noisy):
+    """The :class:`_TrialBasis` of these inputs.  The last one built is reused
+    while the truth's values match a copy held with it bit for bit (its
+    identity is not enough, since an owned array can be made writable again)
+    and the taps, method, carrier, cutoff, background and noise on/off match.
+    A miss drops it before building; it goes when its truth is collected."""
+    global _cached_basis
+    # repr, unlike ==, tells a -0.0 carrier component from +0.0
+    key = (taps.tobytes(), method, repr(carrier), mask.cutoff if method == "spatial" else None,
+           background, noisy)
+    entry = _cached_basis
+    # int64 views compare bits, so -0.0 differs from +0.0 as it does in the trig
+    if (entry is not None and entry[0] == key
+            and np.array_equal(entry[1].view(np.int64), truth.values.view(np.int64))):
+        return entry[2]
+    _drop_basis()
+    held = truth.values.copy()
+    held.setflags(write=False)
+    basis = _TrialBasis(truth, taps, method, carrier, mask, background, noisy)
+    _cached_basis = (key, held, basis, weakref.finalize(truth, _drop_basis))
+    return basis
+
+
 def montecarlo_repeatability(
     truth: PhaseMap,
     spec: PsaSpec,
@@ -237,6 +344,13 @@ def montecarlo_repeatability(
     plus demodulation and compare to round-off; README.md explains the
     superposition that gets it there without synthesizing frames.
 
+    The trial basis that superposition sums is built once per truth and
+    reused by later calls while that truth lives and the taps, method,
+    carrier, cutoff, background and noise on/off stay the same: a (3, H, W)
+    complex array plus the reference and a copy of the truth (the rotation
+    too when noise is on), about 4 MiB at 256x256 and 64 MiB at 1024x1024.
+    The parameter checks run on every call.
+
     ``method`` is ``temporal`` (phase of the temporal field, artifact
     included) or ``spatial`` (carrier removal plus low-pass; requires a
     carrier).  ``crop`` defaults to the mask border crop for spatial runs
@@ -259,44 +373,10 @@ def montecarlo_repeatability(
     elif crop is None:
         crop = 0
     _interior(truth.shape, crop)  # a crop no trial can compare on refuses before the basis
-    reference = _reference(truth, method, carrier)
-
-    # truth and carrier are fixed, so every trial shares one base phase;
-    # a slope refusal fails each trial as generate_stack would
-    try:
-        background, _, noise_sigma, cos, sin = _synthesis_inputs(
-            truth, background, contrast, spec.n_steps, carrier, noise_sigma
-        )
-        refusal = None
-    except RefusalError as exc:
-        refusal = str(exc)
-    else:
-        taps = spec.combined_taps()
-        background_gain = background * complex(np.sum(taps))
-
-        def chain(field):
-            """In-band spectrum bins (none for temporal) and demodulated field."""
-            if method == "spatial":
-                band, _, filtered = _spectral_chain(ComplexField(_Owned(field)), carrier, mask)
-                return band, filtered.values
-            return np.zeros(0, dtype=np.complex128), field
-
-        # e^{i psi}, e^{-i psi} and the background in one basis array; each slot
-        # goes once through the chain and takes back its filtered (temporal: own) field
-        fields = np.empty((3,) + truth.shape, dtype=np.complex128)
-        np.add(cos, 1j * sin, out=fields[0])
-        np.subtract(cos, 1j * sin, out=fields[1])
-        del cos, sin
-        fields[2] = 1.0
-        bands = [None] * 3
-        for slot in range(3):
-            bands[slot], fields[slot] = chain(fields[slot])
-        bands = np.stack(bands)
-        # into the reference frame: each trial's sum is then its residual phasor
-        rotation = np.exp(-1j * reference)
-        fields *= rotation
-        if noise_sigma == 0.0:
-            del rotation
+    background, contrast, noise_sigma = _synthesis_scalars(background, contrast, spec.n_steps,
+                                                           noise_sigma)
+    basis = _trial_basis(truth, spec.combined_taps(), method, carrier, mask, background,
+                         noise_sigma > 0.0)
 
     children = np.random.SeedSequence(seed).spawn(trials)
     pvs, ratios, failures = [], [], []
@@ -310,23 +390,15 @@ def montecarlo_repeatability(
             seed=schedule_seed,
         )
         pair = conjugate_amplitudes(spec, schedule, contrast)
-        if refusal is not None:
-            failures.append((index, refusal))
+        if basis.refusal is not None:
+            failures.append((index, basis.refusal))
             continue
-        weights = np.array([pair.a1, pair.a2, background_gain])
-        band, z = weights @ bands, np.tensordot(weights, fields, 1)
-        if noise_sigma > 0.0:
-            # the noise frames generate_stack adds for this seed, contracted
-            rng = np.random.default_rng(noise_seed)
-            noise = rng.normal(0.0, noise_sigma, size=(spec.n_steps,) + truth.shape)
-            noise_band, noise_field = chain(_contract(noise, taps))
-            band += noise_band
-            z += noise_field * rotation
+        band, z = basis.trial(pair, noise_sigma, noise_seed)
         try:
             if method == "spatial":
                 _guard_band(band, truth.shape, carrier, mask)
             ComplexField(_Owned(z))  # refuses an overflowed field
-            report = _phasor_report(z, reference, crop)
+            report = _phasor_report(z, basis.reference, crop)
         except (RefusalError, DegeneracyError) as exc:
             failures.append((index, str(exc)))
             continue

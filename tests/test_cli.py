@@ -3,12 +3,13 @@
 import contextlib
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import psidemod as p
-from psidemod import cli
+from psidemod import cli, metrics
 from psidemod.formats import dump_json, load_phase_map, save_stack
 
 from conftest import FIXED_SCHEDULE, make_bandlimited
@@ -540,6 +541,21 @@ def test_montecarlo_cli(tmp_path):
     assert len(rows) == 5
     code, _, _ = run_cli(*args, "--out", tmp_path / "b")
     assert code == 0
+    assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
+
+
+def test_montecarlo_cli_on_the_cached_basis_writes_the_same_bytes(tmp_path):
+    # the spy's call record keeps the first run's truth alive, so the second
+    # run, whose truth has the same content, reuses the first run's basis
+    args = ("montecarlo", "--width", 48, "--height", 40, "--amplitude", 1.0,
+            "--method", "spatial", "--carrier", "0.8,0.3", "--noise-sigma", 0.5,
+            "--trials", 4, "--seed", 3)
+    metrics._drop_basis()
+    with mock.patch.object(metrics, "_TrialBasis", wraps=metrics._TrialBasis) as built:
+        for name in ("a", "b"):
+            code, _, err = run_cli(*args, "--out", tmp_path / name)
+            assert code == 0, err
+    assert built.call_count == 1
     assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
 
 

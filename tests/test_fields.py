@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psidemod as p
 from psidemod.errors import RefusalError
+from psidemod.fields import _max_slope_along
 
 
 def test_wrap_range_and_periodicity():
@@ -199,6 +202,26 @@ def test_generate_stack_carrier_slope_guard():
     steep = p.synthesize_wavefront("tilt", 100.0, (64, 64))
     with pytest.raises(RefusalError, match="slope"):
         p.generate_stack(steep, 128.0, 100.0, np.pi / 2, 5, carrier=p.CarrierSpec(0.5))
+
+
+_COMPONENT = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    height=st.integers(2, 40),
+    width=st.integers(2, 40),
+    scale=st.sampled_from([1e-3, 1.0, 50.0]),
+    carrier=st.tuples(_COMPONENT, _COMPONENT).filter(lambda c: 0.0 < np.hypot(*c) < np.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_max_slope_equals_the_two_axis_formula(height, width, scale, carrier, seed):
+    # axis-aligned carriers, either sign and a signed zero, differentiate one axis only
+    truth = p.PhaseMap(scale * np.random.default_rng(seed).standard_normal((height, width)))
+    spec = p.CarrierSpec(*carrier)
+    gy, gx = np.gradient(truth.values)
+    expected = float(np.abs((gx * spec.u0 + gy * spec.v0) / spec.magnitude).max())
+    assert _max_slope_along(truth, spec) == expected
 
 
 def test_generate_stack_intensity_validation(defocus_truth):

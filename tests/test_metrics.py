@@ -357,7 +357,8 @@ def test_montecarlo_bad_crop_refuses_before_the_basis(sh5, method, crop):
     truth = p.synthesize_wavefront("defocus", 1.0, (64, 64))
     carrier = p.CarrierSpec(0.2 if crop is None else np.pi / 4)
     expected = crop if crop is not None else 63
-    with mock.patch.object(metrics, "_synthesis_inputs", side_effect=AssertionError) as synth:
+    # _trial_basis runs on every call, cached basis or not
+    with mock.patch.object(metrics, "_trial_basis", side_effect=AssertionError) as synth:
         with pytest.raises(ValueError, match=f"crop {expected} px leaves under 2 interior pixels"):
             p.montecarlo_repeatability(truth, sh5, method=method, carrier=carrier, trials=2,
                                        crop=crop)

@@ -177,14 +177,20 @@ def test_montecarlo_trials_run_no_trig_and_no_public_compare(monkeypatch, method
                          (metrics, "remove_piston_tilt")):
         if hasattr(module, name):
             counting(module, name)
-    counts = []
-    for trials in (2, 7):
+
+    def run(trials):
         calls.clear()
         summary = p.montecarlo_repeatability(truth, p.sh5_spec(), method=method, carrier=carrier,
                                              mask=mask, trials=trials, seed=1,
                                              noise_sigma=noise_sigma)
         assert summary.n_failed == 0 and len(summary.pv_waves) == trials
-        counts.append(dict(calls))
+        return dict(calls)
+
+    counts = []
+    for trials in (2, 7):
+        metrics._drop_basis()  # each count includes one basis build
+        counts.append(run(trials))
     assert counts[0] == counts[1]
     for name in ("field_phase", "wrapped_diff", "remove_piston_tilt"):
         assert counts[1].get(name, 0) == 0
+    assert run(7) == {}  # on the cached basis: no cos or sin at all

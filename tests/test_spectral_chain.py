@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psidemod as p
+from psidemod import metrics
 from psidemod.carrier import _disc, _guard_band, _spectral_chain, spatial_from_temporal
 
 TOL = 1e-12
@@ -257,11 +258,22 @@ def test_spatial_montecarlo_transforms_each_basis_field_once(sh5, monkeypatch, t
     carrier = p.CarrierSpec(0.8, 0.3)
     truth = p.synthesize_wavefront("defocus", 2.0, (48, 40))
     lines = _count_lines(monkeypatch)
+    metrics._drop_basis()  # count the build, not a basis cached by an earlier call
     summary = p.montecarlo_repeatability(truth, sh5, method="spatial", carrier=carrier,
                                          trials=trials)
     assert summary.trials == trials
     once = _band_lines((48, 40), carrier, carrier.magnitude / 2)
     assert lines == {name: 3 * count for name, count in once.items()}
+
+
+def test_spatial_montecarlo_on_the_cached_basis_transforms_nothing(sh5, monkeypatch):
+    carrier = p.CarrierSpec(0.8, 0.3)
+    truth = p.synthesize_wavefront("defocus", 2.0, (48, 40))
+    p.montecarlo_repeatability(truth, sh5, method="spatial", carrier=carrier, trials=2)
+    lines = _count_lines(monkeypatch)
+    summary = p.montecarlo_repeatability(truth, sh5, method="spatial", carrier=carrier, trials=7)
+    assert summary.n_failed == 0
+    assert lines == {"fft": 0, "ifft": 0}
 
 
 def test_filtered_spatial_demod_peak_allocation_stays_within_twice_the_field():
@@ -279,6 +291,17 @@ def test_filtered_spatial_demod_peak_allocation_stays_within_twice_the_field():
     assert peak <= 2 * temporal.values.nbytes, peak / temporal.values.nbytes
 
 
+def _montecarlo_peak(truth, spec, **kwargs):
+    """Traced peak of one Monte-Carlo call, and its summary."""
+    tracemalloc.start()
+    try:
+        summary = p.montecarlo_repeatability(truth, spec, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, summary
+
+
 def test_spatial_montecarlo_peak_allocation_holds_the_basis_once(sh5):
     # the (3, H, W) basis, one trial's sum and its compare come to about 6.5
     # fields; a second copy of the basis would not fit under 8
@@ -287,11 +310,19 @@ def test_spatial_montecarlo_peak_allocation_holds_the_basis_once(sh5):
     field_bytes = np.dtype(np.complex128).itemsize * truth.values.size
     kwargs = dict(method="spatial", carrier=carrier, trials=4, seed=3)
     p.montecarlo_repeatability(truth, sh5, **kwargs)  # fills the disc cache
-    tracemalloc.start()
-    try:
-        summary = p.montecarlo_repeatability(truth, sh5, **kwargs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    metrics._drop_basis()  # measure a build, not the cached basis
+    peak, summary = _montecarlo_peak(truth, sh5, **kwargs)
     assert summary.n_failed == 0
     assert peak <= 8 * field_bytes, peak / field_bytes
+
+
+def test_spatial_montecarlo_on_the_cached_basis_peaks_no_higher_than_a_build(sh5):
+    carrier = p.CarrierSpec(np.pi / 4, 0.1)
+    truth = p.synthesize_wavefront("defocus", 2.0, (192, 256))
+    kwargs = dict(method="spatial", carrier=carrier, trials=4, seed=3)
+    p.montecarlo_repeatability(truth, sh5, **kwargs)  # fills the disc cache
+    metrics._drop_basis()
+    built, _ = _montecarlo_peak(truth, sh5, **kwargs)
+    reused, summary = _montecarlo_peak(truth, sh5, **kwargs)
+    assert summary.n_failed == 0
+    assert reused <= built, (reused, built)
