@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, RefusalError
-from .fields import TWO_PI, CarrierSpec, ComplexField, InterferogramStack, PhaseMap, _Owned
+from .fields import TWO_PI, CarrierSpec, ComplexField, InterferogramStack, _overflowed, _Owned
 from .psa import PsaSpec, demodulate_temporal, field_phase
 
 # spectral magnitude at this fraction of the signal peak still counts as
@@ -235,20 +235,22 @@ class SpatialDiagnostics:
 def _spectral_chain(field, carrier, mask, apply_filter=True, guard=False):
     """The linear part of :func:`spatial_from_temporal` on one ComplexField:
     remove the carrier into a fresh buffer, transform its rows and the
-    columns of the carrier (or larger cutoff) disc, take the bins inside the
-    carrier disc, then invert the mask disc in that buffer, or keep the
-    carrier-removed field when not ``apply_filter``.  With ``guard``,
+    columns of the carrier disc, take the bins inside it, then invert the
+    mask disc in that buffer, or keep the carrier-removed field when not
+    ``apply_filter``.  The mask cutoff must lie below the carrier magnitude
+    (:func:`_cutoff_below`, checked where the mask enters).  With ``guard``,
     :func:`_guard_band` refuses on the in-band bins before the inverse could
     warn.  Returns in-band bins, bandwidth (None unguarded) and field."""
-    centered = _centered(field.values, carrier)
-    spectrum = _forward(centered, max(carrier.magnitude, mask.cutoff),
-                        out=centered if apply_filter else None)
-    rows, cols, inside, _ = _disc(spectrum.shape, carrier.magnitude)
-    band = spectrum[np.ix_(rows, cols)][inside]
-    bandwidth = _guard_band(band, spectrum.shape, carrier, mask, apply_filter) if guard else None
-    if not apply_filter:
-        return band, bandwidth, ComplexField(_Owned(centered))
-    return band, bandwidth, _keep_disc(spectrum, mask.cutoff)
+    # overflowed bins are refused by the guard or by the filtered field
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = _centered(field.values, carrier)
+        spectrum = _forward(centered, carrier.magnitude, out=centered if apply_filter else None)
+        rows, cols, inside, _ = _disc(spectrum.shape, carrier.magnitude)
+        band = spectrum[np.ix_(rows, cols)][inside]
+        bandwidth = _guard_band(band, field.shape, carrier, mask, apply_filter) if guard else None
+        if not apply_filter:
+            return band, bandwidth, ComplexField(_Owned(centered))
+        return band, bandwidth, _keep_disc(spectrum, mask.cutoff)
 
 
 def _cutoff_below(carrier: CarrierSpec, mask: SpectralMask) -> None:
@@ -262,12 +264,13 @@ def _cutoff_below(carrier: CarrierSpec, mask: SpectralMask) -> None:
 
 def _guard_band(in_band: np.ndarray, shape, carrier: CarrierSpec, mask: SpectralMask,
                 apply_filter: bool = True) -> float:
-    """Apply the refusals of :func:`spatial_from_temporal` to a carrier-removed
-    spectrum, given its bins inside the carrier disc, and return the occupied
-    signal bandwidth in rad/px."""
-    _cutoff_below(carrier, mask)
+    """Apply the data refusals of :func:`spatial_from_temporal` to a
+    carrier-removed spectrum, given its bins inside the carrier disc, and
+    return the occupied signal bandwidth in rad/px."""
     magnitude = np.abs(in_band)
     peak = float(magnitude.max())
+    if not np.isfinite(peak):
+        raise _overflowed("carrier-removed spectrum", shape)
     if peak == 0.0:
         raise DegeneracyError("demodulated field has an empty spectrum")
     radii = _disc(shape, carrier.magnitude)[3]
@@ -353,6 +356,7 @@ def spatial_from_temporal(
 
     if mask is None:
         mask = SpectralMask.for_carrier(carrier)
+    _cutoff_below(carrier, mask)
 
     band, bandwidth, filtered = _spectral_chain(temporal, carrier, mask, apply_filter, guard=True)
     # the guarded cutoff disc lies inside the carrier disc, and carrier removal

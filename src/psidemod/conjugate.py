@@ -73,8 +73,11 @@ def conjugate_amplitudes(spec: PsaSpec, errors: ErrorSchedule, contrast=1.0) -> 
         )
     eps = errors.deviations
     n = np.arange(spec.n_steps)
-    a1 = 0.5 * contrast * np.sum(spec.coefficients * np.exp(1j * eps))
-    a2 = 0.5 * contrast * np.sum(spec.coefficients * np.exp(-1j * (2.0 * n * spec.nominal_step + eps)))
+    # a contrast near the float limit overflows to a pair that is not well_posed
+    with np.errstate(over="ignore", invalid="ignore"):
+        a1 = 0.5 * contrast * np.sum(spec.coefficients * np.exp(1j * eps))
+        a2 = 0.5 * contrast * np.sum(spec.coefficients
+                                     * np.exp(-1j * (2.0 * n * spec.nominal_step + eps)))
     return ConjugatePair(a1, a2)
 
 

@@ -77,11 +77,15 @@ def _validated(values, dtype, what, min_shape) -> np.ndarray:
         )
     if not np.all(np.isfinite(v)):
         if owned:
-            raise DegeneracyError(
-                f"{what} of shape {v.shape} computed from finite input overflowed to non-finite values"
-            )
+            raise _overflowed(what, v.shape)
         raise ValueError(f"{what} of shape {v.shape} contains non-finite values")
     return v
+
+
+def _overflowed(what, shape) -> DegeneracyError:
+    return DegeneracyError(
+        f"{what} of shape {shape} computed from finite input overflowed to non-finite values"
+    )
 
 
 def _nominal_step(value) -> float:
@@ -332,15 +336,17 @@ def make_error_schedule(kind, n_frames, magnitude=0.0, nominal_step=None, seed=N
 
 def _max_slope_along(truth: PhaseMap, carrier: CarrierSpec) -> float:
     # an axis the carrier has no component on adds a signed zero to each
-    # finite term, which changes nothing, so it is not differentiated
+    # finite term, which changes nothing, so it is not differentiated;
+    # neighbours a float range apart overflow, which the caller refuses
     u0, v0, mag = carrier.u0, carrier.v0, carrier.magnitude
-    if v0 == 0.0:
-        directional = np.gradient(truth.values, axis=1) * u0 / mag
-    elif u0 == 0.0:
-        directional = np.gradient(truth.values, axis=0) * v0 / mag
-    else:
-        gy, gx = np.gradient(truth.values)
-        directional = (gx * u0 + gy * v0) / mag
+    with np.errstate(over="ignore", invalid="ignore"):
+        if v0 == 0.0:
+            directional = np.gradient(truth.values, axis=1) * u0 / mag
+        elif u0 == 0.0:
+            directional = np.gradient(truth.values, axis=0) * v0 / mag
+        else:
+            gy, gx = np.gradient(truth.values)
+            directional = (gx * u0 + gy * v0) / mag
     return float(np.abs(directional).max())
 
 
@@ -367,6 +373,11 @@ def _synthesis_trig(truth: PhaseMap, carrier):
     base = truth.values
     if carrier is not None:
         slope = _max_slope_along(truth, carrier)
+        if not np.isfinite(slope):
+            raise RefusalError(
+                f"wavefront slope along the carrier direction is {slope}: neighbouring "
+                "truth values differ by more than the float range"
+            )
         if carrier.magnitude <= slope:
             raise RefusalError(
                 f"carrier magnitude {carrier.magnitude:.6g} rad/px must exceed the maximum "
@@ -413,15 +424,17 @@ def generate_stack(
     rng = np.random.default_rng(seed) if noise_sigma > 0.0 else None
     frames = np.empty((n_frames,) + cos.shape)
     scratch = np.empty(cos.shape)
-    for n in range(n_frames):
-        shift = n * nominal_step + errors.deviations[n]
-        frame = frames[n]
-        np.multiply(cos, contrast * np.cos(shift), out=frame)
-        np.multiply(sin, contrast * np.sin(shift), out=scratch)
-        frame -= scratch
-        frame += background
-        if rng is not None:
-            frame += rng.normal(0.0, noise_sigma, size=frame.shape)
+    # an overflowed frame is refused by the stack's own finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_frames):
+            shift = n * nominal_step + errors.deviations[n]
+            frame = frames[n]
+            np.multiply(cos, contrast * np.cos(shift), out=frame)
+            np.multiply(sin, contrast * np.sin(shift), out=scratch)
+            frame -= scratch
+            frame += background
+            if rng is not None:
+                frame += rng.normal(0.0, noise_sigma, size=frame.shape)
 
     meta = StackMetadata(
         background=background,

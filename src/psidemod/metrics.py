@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .carrier import SpectralMask, _guard_band, _spectral_chain
+from .carrier import SpectralMask, _cutoff_below, _guard_band, _spectral_chain
 from .errors import DegeneracyError, RefusalError
 from .fields import (
     TWO_PI,
@@ -15,6 +15,7 @@ from .fields import (
     ComplexField,
     PhaseMap,
     _freeze,
+    _overflowed,
     _Owned,
     _synthesis_scalars,
     _synthesis_trig,
@@ -156,7 +157,10 @@ def _phasor_report(z, reference, crop):
     difference and z/|z| its cos and sin, with trig only if a pixel is invalid."""
     rows, cols = _interior(z.shape, crop)
     modulus = np.abs(z)
-    valid = _valid(modulus, float(modulus.max()))[rows, cols]
+    peak = float(modulus.max())
+    if not np.isfinite(peak):
+        raise _overflowed("complex field", z.shape)
+    valid = _valid(modulus, peak)[rows, cols]
     z, modulus = z[rows, cols], modulus[rows, cols]
     diff = np.angle(z)
     diff[diff == np.pi] = -np.pi
@@ -213,8 +217,9 @@ class MonteCarloSummary:
 
 
 class _TrialBasis:
-    """What every Monte-Carlo trial on one truth shares, or the slope refusal
-    (``refusal``) that fails each trial as :func:`generate_stack` would.
+    """What every Monte-Carlo trial on one truth shares.  Building it refuses
+    a carrier at or below the truth's slope as :func:`generate_stack` does;
+    nothing else about the truth can refuse, so a built basis holds none.
 
     The (3, H, W) ``fields`` are the filtered (temporal: unfiltered) fields
     of e^{i psi}, e^{-i psi} and the background, rotated by e^{-i reference}
@@ -225,15 +230,10 @@ class _TrialBasis:
     """
 
     def __init__(self, truth: PhaseMap, taps, method, carrier, mask, background, noisy):
+        cos, sin = _synthesis_trig(truth, carrier)
         self.method, self.carrier, self.mask = method, carrier, mask
         _freeze(self, "taps", taps)
         _freeze(self, "reference", _reference(truth, method, carrier))
-        try:
-            cos, sin = _synthesis_trig(truth, carrier)
-        except RefusalError as exc:
-            self.refusal = str(exc)
-            return
-        self.refusal = None
         self.background_gain = background * complex(np.sum(taps))
         # e^{i psi}, e^{-i psi} and the background in one basis array; each slot
         # goes once through the chain and takes back its filtered (temporal: own) field
@@ -268,7 +268,9 @@ class _TrialBasis:
         pair is ``pair``, with the noise :func:`generate_stack` adds for
         ``noise_seed`` when ``noise_sigma > 0``."""
         weights = np.array([pair.a1, pair.a2, self.background_gain])
-        band, z = weights @ self.bands, np.tensordot(weights, self.fields, 1)
+        # amplitudes near the float limit overflow; the caller refuses the trial
+        with np.errstate(over="ignore", invalid="ignore"):
+            band, z = weights @ self.bands, np.tensordot(weights, self.fields, 1)
         if noise_sigma > 0.0:
             # the noise frames generate_stack adds for this seed, contracted
             rng = np.random.default_rng(noise_seed)
@@ -338,24 +340,26 @@ def montecarlo_repeatability(
     method, removes piston and tilt from the wrapped difference against the
     truth (plus the carrier, for a temporal phase), and records the interior
     peak-to-valley in waves together with the closed-form leak ratio of that
-    trial's schedule.  Trials whose synthesis, demodulation or comparison
-    refuses are counted and reported, not silently dropped.  Identical seeds
-    reproduce identical statistics.  Each trial matches :func:`generate_stack`
-    plus demodulation and compare to round-off; README.md explains the
-    superposition that gets it there without synthesizing frames.
+    trial's schedule.  Identical seeds reproduce identical statistics.  Each
+    trial matches :func:`generate_stack` plus demodulation and compare to
+    round-off; README.md explains the superposition that gets it there
+    without synthesizing frames.
+
+    What no trial can change raises before the basis is built: the
+    parameters, the error family as the schedules are drawn, and, building
+    it, a carrier at or below the truth's slope.  The bandwidth guard, an
+    overflow and the span check fail single trials, reported, not dropped.
 
     The trial basis that superposition sums is built once per truth and
     reused by later calls while that truth lives and the taps, method,
     carrier, cutoff, background and noise on/off stay the same: a (3, H, W)
     complex array plus the reference and a copy of the truth (the rotation
     too when noise is on), about 4 MiB at 256x256 and 64 MiB at 1024x1024.
-    The parameter checks run on every call.
 
     ``method`` is ``temporal`` (phase of the temporal field, artifact
     included) or ``spatial`` (carrier removal plus low-pass; requires a
     carrier).  ``crop`` defaults to the mask border crop for spatial runs
-    and 0 for temporal ones; a crop that leaves no interior raises
-    ``ValueError`` before any trial runs.
+    and 0 for temporal ones.
     """
     if method not in ("temporal", "spatial"):
         raise ValueError(f"unknown method {method!r}, expected 'temporal' or 'spatial'")
@@ -368,36 +372,29 @@ def montecarlo_repeatability(
             raise ValueError("spatial method requires a carrier")
         if mask is None:
             mask = SpectralMask.for_carrier(carrier)
+        _cutoff_below(carrier, mask)
         if crop is None:
             crop = mask.border_crop
     elif crop is None:
         crop = 0
-    _interior(truth.shape, crop)  # a crop no trial can compare on refuses before the basis
+    _interior(truth.shape, crop)
     background, contrast, noise_sigma = _synthesis_scalars(background, contrast, spec.n_steps,
                                                            noise_sigma)
+    draws = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        schedule_seed, noise_seed = child.spawn(2)
+        schedule = make_error_schedule(error_kind, spec.n_steps, magnitude=error_magnitude,
+                                       nominal_step=spec.nominal_step, seed=schedule_seed)
+        draws.append((conjugate_amplitudes(spec, schedule, contrast), noise_seed))
     basis = _trial_basis(truth, spec.combined_taps(), method, carrier, mask, background,
                          noise_sigma > 0.0)
 
-    children = np.random.SeedSequence(seed).spawn(trials)
     pvs, ratios, failures = [], [], []
-    for index, child in enumerate(children):
-        schedule_seed, noise_seed = child.spawn(2)
-        schedule = make_error_schedule(
-            error_kind,
-            spec.n_steps,
-            magnitude=error_magnitude,
-            nominal_step=spec.nominal_step,
-            seed=schedule_seed,
-        )
-        pair = conjugate_amplitudes(spec, schedule, contrast)
-        if basis.refusal is not None:
-            failures.append((index, basis.refusal))
-            continue
+    for index, (pair, noise_seed) in enumerate(draws):
         band, z = basis.trial(pair, noise_sigma, noise_seed)
         try:
             if method == "spatial":
                 _guard_band(band, truth.shape, carrier, mask)
-            ComplexField(_Owned(z))  # refuses an overflowed field
             report = _phasor_report(z, basis.reference, crop)
         except (RefusalError, DegeneracyError) as exc:
             failures.append((index, str(exc)))

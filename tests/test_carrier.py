@@ -1,11 +1,14 @@
 """Spatial-carrier helpers: removal, filtering, estimation, demodulation."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import psidemod as p
+from psidemod import carrier as carrier_module
+from psidemod.carrier import spatial_from_temporal
 from psidemod.errors import DegeneracyError, RefusalError
 
 from conftest import FIXED_SCHEDULE, make_bandlimited
@@ -301,6 +304,25 @@ def test_spatial_refuses_cutoff_at_or_above_carrier(sh5, defocus_truth):
         p.demodulate_spatial(stack, sh5, mask=p.SpectralMask(np.pi / 4))
     with pytest.raises(RefusalError):
         p.demodulate_spatial(stack, sh5, mask=p.SpectralMask(np.pi / 3))
+
+
+def test_spatial_refuses_cutoff_before_any_transform():
+    carrier = p.CarrierSpec(np.pi / 4, 0.0)
+    field = tone_field((32, 32), np.pi / 4)
+    with mock.patch.object(carrier_module, "_spectral_chain", side_effect=AssertionError) as chain:
+        with pytest.raises(RefusalError, match="mask cutoff 0.785398 rad/px must stay below"):
+            spatial_from_temporal(field, carrier=carrier, mask=p.SpectralMask(np.pi / 4))
+    assert chain.call_count == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_spectrum_is_degenerate_without_a_warning():
+    # finite samples whose transform leaves float64: 64^2 bins of 1e305 sum past it
+    carrier = p.CarrierSpec(0.8, 0.3)
+    field = p.ComplexField(tone_field((64, 64), 0.8, 0.3).values * 1e305)
+    with pytest.raises(DegeneracyError, match=r"spectrum of shape \(64, 64\) computed from "
+                                              "finite input overflowed to non-finite values"):
+        spatial_from_temporal(field, carrier=carrier, mask=p.SpectralMask(0.35))
 
 
 def test_spatial_refuses_when_signal_band_reaches_carrier(sh5):

@@ -324,6 +324,13 @@ def test_demod_bad_parameters_exit_2(tmp_path):
           "--demod-carrier", "estimate", "--cutoff", "pi/8", "--border-crop", 40,
           "--compare-truth"),
          "crop 40 px leaves under 2 interior pixels on a 64x64 map"),
+        # no trial could pass these, so montecarlo refuses before it runs any
+        (("montecarlo", "--method", "spatial", "--width", 64, "--height", 64, "--carrier", 0.5,
+          "--cutoff", 0.6, "--border-crop", 4),
+         "mask cutoff 0.6 rad/px must stay below the carrier magnitude 0.5 rad/px"),
+        (("montecarlo", "--method", "spatial", "--wavefront", "tilt", "--amplitude", 31.5,
+          "--width", 64, "--height", 64, "--carrier", 0.25, "--cutoff", 0.1, "--border-crop", 0),
+         "carrier magnitude 0.25 rad/px must exceed the maximum wavefront slope 0.5 rad/px"),
     ],
 )
 def test_parameter_refusals_write_nothing(tmp_path, monkeypatch, args, message):

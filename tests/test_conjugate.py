@@ -73,6 +73,13 @@ def test_non_finite_pair_refuses_error_map_as_such(a1, a2):
         p.predicted_error_map(make_ramp(16), pair)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_amplitudes_are_not_well_posed_without_a_warning(sh5):
+    schedule = p.make_error_schedule("uniform", 5, 0.3, seed=1)
+    pair = p.conjugate_amplitudes(sh5, schedule, 0.9e308)
+    assert not pair.well_posed
+
+
 def test_error_map_zero_without_conjugate():
     truth = make_ramp(256)
     error = p.predicted_error_map(truth, p.ConjugatePair(1.0, 0.0))

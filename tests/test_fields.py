@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psidemod as p
-from psidemod.errors import RefusalError
+from psidemod.errors import DegeneracyError, RefusalError
 from psidemod.fields import _max_slope_along
 
 
@@ -202,6 +202,37 @@ def test_generate_stack_carrier_slope_guard():
     steep = p.synthesize_wavefront("tilt", 100.0, (64, 64))
     with pytest.raises(RefusalError, match="slope"):
         p.generate_stack(steep, 128.0, 100.0, np.pi / 2, 5, carrier=p.CarrierSpec(0.5))
+
+
+# neighbours 3.4e308 apart: rows alternate, or rows and columns both do
+_ROWS = np.array([[1.7e308] * 4, [-1.7e308] * 4] * 2)
+_CHECKERBOARD = _ROWS * np.array([1.0, -1.0, 1.0, -1.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "values, carrier",
+    [(_ROWS, (0.3, 0.4)), (_CHECKERBOARD, (0.4, 0.0)), (_CHECKERBOARD, (0.0, 0.4))],
+    ids=["rows-oblique", "checkerboard-x", "checkerboard-y"],
+)
+def test_non_finite_slope_refused_without_a_warning(sh5, values, carrier):
+    truth = p.PhaseMap(values)
+    carrier = p.CarrierSpec(*carrier)
+    with pytest.raises(RefusalError,
+                       match="slope along the carrier direction is (inf|nan)") as refused:
+        p.generate_stack(truth, 128.0, 100.0, np.pi / 2, 5, carrier=carrier)
+    with pytest.raises(RefusalError) as montecarlo:
+        p.montecarlo_repeatability(truth, sh5, method="spatial", carrier=carrier,
+                                   mask=p.SpectralMask(0.1, border_crop=0), trials=2)
+    assert str(montecarlo.value) == str(refused.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_frames_are_degenerate_without_a_warning():
+    truth = p.synthesize_wavefront("defocus", 3.0, (16, 16))
+    with pytest.raises(DegeneracyError, match=r"stack frames of shape \(5, 16, 16\) computed "
+                                              "from finite input overflowed"):
+        p.generate_stack(truth, 0.9e308, 0.9e308, np.pi / 2, 5)
 
 
 _COMPONENT = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0])

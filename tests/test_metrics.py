@@ -1,5 +1,6 @@
 """Residual reporting and Monte-Carlo repeatability."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -334,12 +335,18 @@ def test_montecarlo_superposition_matches_pipeline(height, width, angle, speed, 
     if method == "temporal" and not with_carrier:
         carrier = None
     mask = p.SpectralMask(speed / 2, border_crop=2) if method == "spatial" else None
-    summary, fields = _montecarlo_fields(
-        truth, spec, method=method, carrier=carrier, mask=mask, error_kind="uniform",
-        error_magnitude=magnitude, trials=3, seed=seed, noise_sigma=noise_sigma, crop=2,
-    )
     expected, pvs, failures = _pipeline_trials(truth, spec, method, carrier, mask, 2, noise_sigma,
                                                3, seed, magnitude=magnitude)
+    try:
+        summary, fields = _montecarlo_fields(
+            truth, spec, method=method, carrier=carrier, mask=mask, error_kind="uniform",
+            error_magnitude=magnitude, trials=3, seed=seed, noise_sigma=noise_sigma, crop=2,
+        )
+    except RefusalError as exc:
+        # a carrier at or below the truth's slope refuses the whole call with
+        # the refusal generate_stack gives every trial
+        assert failures == [(index, str(exc)) for index in range(3)]
+        return
     assert summary.failures == tuple(failures)
     assert len(fields) == len(expected)
     # |e^{-i reference}| = 1, so the rotation keeps the bound as strict
@@ -350,61 +357,81 @@ def test_montecarlo_superposition_matches_pipeline(height, width, angle, speed, 
     assert np.allclose(summary.pv_waves, pvs, rtol=0.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("method, crop", [("spatial", 40), ("spatial", None), ("temporal", 32)])
-def test_montecarlo_bad_crop_refuses_before_the_basis(sh5, method, crop):
-    # a 64^2 map: crop 32 leaves no row, nor does 40, and the default mask
-    # of a 0.2 rad/px carrier crops ceil(2 pi / 0.1) = 63 px
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(method="spatial", crop=40), "crop 40 px leaves under 2 interior pixels"),
+        # the default mask of a 0.2 rad/px carrier crops ceil(2 pi / 0.1) = 63 px
+        (dict(method="spatial", carrier=p.CarrierSpec(0.2)),
+         "crop 63 px leaves under 2 interior pixels"),
+        (dict(method="temporal", crop=32), "crop 32 px leaves under 2 interior pixels"),
+        (dict(method="spatial", mask=p.SpectralMask(np.pi / 4)),
+         "mask cutoff 0.785398 rad/px must stay below the carrier magnitude 0.785398 rad/px"),
+        (dict(method="spatial", error_kind="bogus"), "unknown error-schedule kind 'bogus'"),
+    ],
+    ids=["spatial-40", "spatial-None", "temporal-32", "cutoff-at-carrier", "bogus-errors"],
+)
+def test_montecarlo_refuses_before_the_basis(sh5, kwargs, message):
+    # what no trial can change refuses before the basis is built, not once per trial
     truth = p.synthesize_wavefront("defocus", 1.0, (64, 64))
-    carrier = p.CarrierSpec(0.2 if crop is None else np.pi / 4)
-    expected = crop if crop is not None else 63
+    kwargs = {"carrier": p.CarrierSpec(np.pi / 4), **kwargs}
     # _trial_basis runs on every call, cached basis or not
-    with mock.patch.object(metrics, "_trial_basis", side_effect=AssertionError) as synth:
-        with pytest.raises(ValueError, match=f"crop {expected} px leaves under 2 interior pixels"):
-            p.montecarlo_repeatability(truth, sh5, method=method, carrier=carrier, trials=2,
-                                       crop=crop)
-    assert synth.call_count == 0
-
-
-@pytest.mark.parametrize("u0", [0.25, 0.5])
-def test_montecarlo_carrier_below_slope_fails_every_trial(sh5, u0):
-    # a tilt of exactly 0.5 rad/px: the carrier sits below or at the slope
-    truth = p.synthesize_wavefront("tilt", 31.5, (64, 64))
-    carrier = p.CarrierSpec(u0)
-    with pytest.raises(RefusalError) as refused:
-        p.generate_stack(truth, 128.0, 100.0, sh5.nominal_step, 5, carrier=carrier)
-    summary = p.montecarlo_repeatability(
-        truth, sh5, method="spatial", carrier=carrier, trials=4, seed=2, crop=0
-    )
-    assert summary.pv_waves == () and summary.leak_ratios == ()
-    assert summary.failures == tuple((i, str(refused.value)) for i in range(4))
-    assert "slope" in str(refused.value)
+    with mock.patch.object(metrics, "_trial_basis", side_effect=AssertionError) as build:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            p.montecarlo_repeatability(truth, sh5, trials=2, **kwargs)
+    assert build.call_count == 0
 
 
 @pytest.mark.parametrize(
-    "background, contrast, noise_sigma, n_taps",
+    "background, contrast, noise_sigma, n_taps, u0",
     [
-        (np.inf, 100.0, 0.0, 5),
-        (128.0, 0.0, 0.0, 5),
-        (128.0, -1.0, 0.0, 5),
-        (50.0, 100.0, 0.0, 5),
-        (128.0, 100.0, -0.1, 5),
-        (128.0, 100.0, np.nan, 5),
-        (128.0, 100.0, 0.0, 2),
+        (np.inf, 100.0, 0.0, 5, None),
+        (128.0, 0.0, 0.0, 5, None),
+        (128.0, -1.0, 0.0, 5, None),
+        (50.0, 100.0, 0.0, 5, None),
+        (128.0, 100.0, -0.1, 5, None),
+        (128.0, 100.0, np.nan, 5, None),
+        (128.0, 100.0, 0.0, 2, None),
+        # a tilt of exactly 0.5 rad/px: the carrier sits below or at the slope
+        (128.0, 100.0, 0.0, 5, 0.25),
+        (128.0, 100.0, 0.0, 5, 0.5),
     ],
     ids=["background-inf", "contrast-0", "contrast-negative", "background-below-contrast",
-         "noise-negative", "noise-nan", "two-frames"],
+         "noise-negative", "noise-nan", "two-frames", "slope-0.25", "slope-0.5"],
 )
 def test_montecarlo_refuses_as_generate_stack(sh5, defocus_truth, background, contrast,
-                                              noise_sigma, n_taps):
+                                              noise_sigma, n_taps, u0):
     spec = sh5 if n_taps == 5 else p.PsaSpec([1.0, -1.0], sh5.nominal_step)
+    truth, carrier, method = defocus_truth, None, "temporal"
+    if u0 is not None:
+        truth = p.synthesize_wavefront("tilt", 31.5, (64, 64))
+        carrier, method = p.CarrierSpec(u0), "spatial"
     with pytest.raises(ValueError) as synthesized:
-        p.generate_stack(defocus_truth, background, contrast, spec.nominal_step, spec.n_steps,
-                         noise_sigma=noise_sigma)
+        p.generate_stack(truth, background, contrast, spec.nominal_step, spec.n_steps,
+                         carrier=carrier, noise_sigma=noise_sigma)
     with pytest.raises(ValueError) as montecarlo:
-        p.montecarlo_repeatability(defocus_truth, spec, background=background,
-                                   contrast=contrast, noise_sigma=noise_sigma, trials=2)
+        p.montecarlo_repeatability(truth, spec, method=method, carrier=carrier,
+                                   background=background, contrast=contrast,
+                                   noise_sigma=noise_sigma, trials=2, crop=0)
     assert type(montecarlo.value) is type(synthesized.value)
     assert str(montecarlo.value) == str(synthesized.value)
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 1.0])
+@pytest.mark.parametrize("method", ["temporal", "spatial"])
+def test_montecarlo_overflow_fails_every_trial_without_a_warning(sh5, method, noise_sigma):
+    # a contrast near the float limit overflows the amplitudes and the
+    # superposed sums; each trial then fails as an overflow, and any numpy
+    # warning on the way would fail the suite
+    truth = p.synthesize_wavefront("defocus", 3.0, (64, 64))
+    summary = p.montecarlo_repeatability(
+        truth, sh5, method=method, carrier=p.CarrierSpec(0.8, 0.3),
+        mask=p.SpectralMask(0.35, border_crop=6), background=0.9e308, contrast=0.9e308,
+        noise_sigma=noise_sigma, trials=3, seed=4,
+    )
+    assert summary.pv_waves == () and summary.n_failed == 3
+    for _, reason in summary.failures:
+        assert "computed from finite input overflowed to non-finite values" in reason
 
 
 def test_montecarlo_validation(sh5, defocus_truth):

@@ -61,6 +61,12 @@ COMMANDS = (
                                         "--height", "48", "--carrier", "0.8,-0.5",
                                         "--cutoff", "0.35", "--border-crop", "6",
                                         "--noise-sigma", "0.5", "--trials", "8", "--seed", "7"]),
+    # gaussian schedules: every other run draws uniform ones
+    ("montecarlo-spatial-gaussian-48x40", ["montecarlo", "--method", "spatial", "--width", "48",
+                                           "--height", "40", "--carrier", "0.8,0.3",
+                                           "--cutoff", "0.35", "--border-crop", "4",
+                                           "--errors", "gaussian:0.2", "--trials", "10",
+                                           "--seed", "11"]),
     ("ftf-fig2", ["ftf", "--preset", "fig2"]),
 )
 
