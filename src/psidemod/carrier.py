@@ -290,6 +290,22 @@ def _guard_band(in_band: np.ndarray, shape, carrier: CarrierSpec, mask: Spectral
     return bandwidth
 
 
+def _energy_fraction(admitted: np.ndarray, values: np.ndarray) -> float:
+    """sum |admitted|^2 over the Parseval total N * sum |values|^2.  When a
+    sum overflows, both are taken again on values scaled by one power of
+    two, which is exact, so the fraction keeps the bits it would have."""
+    with np.errstate(over="ignore"):
+        kept = np.sum(np.abs(admitted) ** 2)
+    total = values.size * np.vdot(values, values).real
+    if not (np.isfinite(kept) and np.isfinite(total)):
+        peak = max(np.abs(values.real).max(), np.abs(values.imag).max())
+        scale = 2.0 ** -int(np.frexp(peak)[1])
+        admitted, values = admitted * scale, values * scale
+        kept = np.sum(np.abs(admitted) ** 2)
+        total = values.size * np.vdot(values, values).real
+    return float(kept / total)
+
+
 def demodulate_spatial(
     stack: InterferogramStack,
     spec: PsaSpec,
@@ -363,8 +379,7 @@ def spatial_from_temporal(
     # keeps the modulus, so the total spectral energy is N * sum |temporal|^2
     radii = _disc(temporal.shape, carrier.magnitude)[3]
     admitted = band[(radii <= mask.cutoff) & (radii > bandwidth)]
-    total_energy = temporal.values.size * np.vdot(temporal.values, temporal.values).real
-    out_of_band = float(np.sum(np.abs(admitted) ** 2) / total_energy)
+    out_of_band = _energy_fraction(admitted, temporal.values)
 
     phase, valid = field_phase(filtered)
     diagnostics = SpatialDiagnostics(

@@ -21,12 +21,14 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .carrier import SpectralMask, _cutoff_below, remove_carrier, spatial_from_temporal
+from .carrier import SpectralMask, remove_carrier, spatial_from_temporal
 from .conjugate import ConjugatePair, predicted_error_map
 from .errors import DegeneracyError
 from .fields import (
@@ -50,9 +52,9 @@ from .formats import (
     save_phase_map,
     save_stack,
     write_ftf_csv,
+    write_gray,
     write_line_cut_csv,
     write_montecarlo_csv,
-    write_pgm,
 )
 from .metrics import _interior, _reference, montecarlo_repeatability, remove_piston_tilt, wrapped_diff
 from .psa import PsaSpec, demodulate_temporal, field_phase, ftf_sweep, sh5_spec, taps_from_zeros
@@ -355,10 +357,6 @@ def _cut_row(params: dict, height: int) -> int | None:
     return row
 
 
-def _write_gray(path: Path, values: np.ndarray) -> None:
-    write_pgm(path, np.clip(np.round(values), 0, 255).astype(np.uint8))
-
-
 def _run_simulate(params: dict, out: Path) -> None:
     leak = params["artifact_leak"]
     row = None if leak is None else _cut_row(params, params["height"])
@@ -367,7 +365,7 @@ def _run_simulate(params: dict, out: Path) -> None:
     save_stack(out, stack, params["stem"])
     save_phase_map(out / "truth", truth)
     if params["preview"]:
-        _write_gray(out / "frame_000.pgm", stack.frames[0])
+        write_gray(out / "frame_000.pgm", stack.frames[0])
     if error_map is not None:
         save_phase_map(out / "predicted_error", error_map)
         if row is not None:
@@ -381,7 +379,7 @@ def _run_simulate(params: dict, out: Path) -> None:
 
 
 def _run_demod(params: dict, out: Path) -> None:
-    """Refuse on parameters alone before any output, then demodulate and write."""
+    """Refuse on parameters alone before any work, then demodulate and write."""
     method = params["method"]
     request = params["demod_carrier"]
     spatial = method == "spatial"
@@ -396,14 +394,12 @@ def _run_demod(params: dict, out: Path) -> None:
         stack, truth = load_stack(params["stack"]), None
     row = _cut_row(params, stack.height)
     recorded = None if request == "estimate" else stack.metadata.carrier
-    if spatial:
-        # a named or recorded carrier settles the mask now; an estimated one
-        # is known only after the temporal step, and so is its default mask
+    if spatial and params["compare_truth"]:
+        # a named or recorded carrier settles the default mask's crop now, before
+        # the bandwidth guard could refuse; an estimated carrier is known only later
         known = carrier if carrier is not None else recorded
         resolved = mask if mask is not None or known is None else SpectralMask.for_carrier(known)
-        if known is not None:
-            _cutoff_below(known, resolved)
-        if resolved is not None and params["compare_truth"]:
+        if resolved is not None:
             _interior((stack.height, stack.width), resolved.border_crop)
 
     temporal = demodulate_temporal(stack, spec)
@@ -481,7 +477,7 @@ def _run_compare(params: dict, out: Path) -> None:
     save_phase_map(out / "residual", residual)
     dump_json(out / "report.json", report.to_dict())
     if params["pgm"]:
-        _write_gray(out / "residual.pgm", (residual.values * params["gain"] + np.pi) / TWO_PI * 255)
+        write_gray(out / "residual.pgm", (residual.values * params["gain"] + np.pi) / TWO_PI * 255)
 
 
 def _run_montecarlo(params: dict, out: Path) -> None:
@@ -533,10 +529,18 @@ def _run_replay(args) -> int:
 
 
 def _execute(command: str, params: dict, out: Path) -> int:
-    """Run one command into ``out`` and record its manifest last."""
+    """Run one command in a fresh directory inside ``out`` and, only when it
+    succeeds, move its files into ``out`` and record the manifest last, so a
+    refused or failed run leaves the files of ``out`` as it found them."""
     out.mkdir(parents=True, exist_ok=True)
     _, runner, _, _ = COMMANDS[command]
-    runner(params, out)
+    staging = Path(tempfile.mkdtemp(dir=out))
+    try:
+        runner(params, staging)
+        for path in staging.iterdir():
+            path.replace(out / path.name)
+    finally:
+        shutil.rmtree(staging)
     dump_json(out / "manifest.json", {"command": command, "parameters": params})
     return EXIT_OK
 

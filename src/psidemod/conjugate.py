@@ -47,7 +47,7 @@ class ConjugatePair:
         """r = |A2| / |A1|; inf when A1 vanishes."""
         if self.a1 == 0:
             return math.inf
-        return abs(self.a2) / abs(self.a1)
+        return _modulus(self.a2) / _modulus(self.a1)
 
     @property
     def relative_phase(self) -> float:
@@ -59,7 +59,15 @@ class ConjugatePair:
     @property
     def well_posed(self) -> bool:
         """|A1| and the leak ratio finite; the ratio is inf when A1 = 0."""
-        return math.isfinite(abs(self.a1)) and math.isfinite(self.leak_ratio)
+        return math.isfinite(_modulus(self.a1)) and math.isfinite(self.leak_ratio)
+
+
+def _modulus(z: complex) -> float:
+    """|z|, inf where Python's ``abs`` of a finite complex overflows and raises."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def conjugate_amplitudes(spec: PsaSpec, errors: ErrorSchedule, contrast=1.0) -> ConjugatePair:

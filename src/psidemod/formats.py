@@ -1,10 +1,10 @@
-"""File formats: raw float arrays with JSON sidecars, PGM images, CSV tables.
+"""File formats: raw grids with JSON sidecars, PGM images, CSV tables.
 
-Every writer is deterministic: the same data produces the same bytes.  Raw
-arrays are little-endian float32 (``.f32``) or interleaved re/im complex64
-(``.c64``), row-major, with grid dimensions recorded in the JSON sidecar,
-never in the raw file.  Stack frames live one file per frame next to their
-sidecar, ``<stem>_NNN.f32`` (or ``.pgm`` for camera data).
+Every writer is deterministic: the same data produces the same bytes.  A raw
+grid is little-endian float32 (``.f32``) or interleaved re/im complex64
+(``.c64``), row-major, beside a JSON sidecar that records its kind and grid
+dimensions, never in the raw file.  Stack frames live one file per frame next
+to their sidecar, ``<stem>_NNN.f32`` (or ``.pgm`` for camera data).
 """
 
 from __future__ import annotations
@@ -57,10 +57,19 @@ def _read_raw(path, shape, dtype: np.dtype) -> np.ndarray:
     return data.reshape(shape)
 
 
-def _dump_sidecar(stem: Path, kind: str, grid, **extra) -> Path:
-    """Write ``stem.json`` describing a raw grid file of the given kind."""
-    payload = {"kind": kind, "width": grid.width, "height": grid.height, **extra}
-    return dump_json(stem.with_suffix(".json"), payload)
+# the suffix of a raw grid file names its dtype
+_SUFFIX = {"<f4": ".f32", "<c8": ".c64"}
+
+
+def _save_grid(stem, kind: str, values, dtype: str, **extra) -> list[Path]:
+    """Write ``values`` as a raw ``dtype`` grid and the ``stem.json`` sidecar
+    that records its kind, shape and ``extra``; returns [raw, sidecar]."""
+    stem = Path(stem)
+    raw = stem.with_suffix(_SUFFIX[dtype])
+    np.asarray(values, dtype=dtype).tofile(raw)
+    height, width = np.shape(values)
+    payload = {"kind": kind, "width": width, "height": height, **extra}
+    return [raw, dump_json(stem.with_suffix(".json"), payload)]
 
 
 def _sizes(sidecar: Path, meta: dict, keys) -> tuple:
@@ -72,40 +81,34 @@ def _sizes(sidecar: Path, meta: dict, keys) -> tuple:
     return sizes
 
 
-def _load_sidecar(path, kind: str, what: str):
-    """The sidecar path, its contents and the (height, width) it records,
-    for ``path`` (sidecar or raw file)."""
+def _load_grid(path, kind: str, what: str, dtype: str):
+    """The raw ``dtype`` grid that ``path`` (sidecar or raw file) belongs to,
+    and its sidecar's contents; refused unless the sidecar records ``kind``."""
     path = Path(path)
     sidecar = path if path.suffix == ".json" else path.with_suffix(".json")
     meta = load_json(sidecar)
     if meta.get("kind") != kind:
         raise ValueError(f"{sidecar} does not describe {what}")
-    return sidecar, meta, _sizes(sidecar, meta, ("height", "width"))
+    shape = _sizes(sidecar, meta, ("height", "width"))
+    return _read_raw(sidecar.with_suffix(_SUFFIX[dtype]), shape, np.dtype(dtype)), meta
 
 
 def save_phase_map(stem, phase_map: PhaseMap) -> list[Path]:
-    stem = Path(stem)
-    raw = write_f32(stem.with_suffix(".f32"), phase_map.values)
-    return [raw, _dump_sidecar(stem, "phase_map", phase_map, wrapped=phase_map.wrapped)]
+    return _save_grid(stem, "phase_map", phase_map.values, "<f4", wrapped=phase_map.wrapped)
 
 
 def load_phase_map(path) -> PhaseMap:
-    sidecar, meta, shape = _load_sidecar(path, "phase_map", "a phase map")
-    values = read_f32(sidecar.with_suffix(".f32"), shape)
+    values, meta = _load_grid(path, "phase_map", "a phase map", "<f4")
     return PhaseMap(values.astype(np.float64), wrapped=bool(meta["wrapped"]))
 
 
 def save_complex_field(stem, field: ComplexField) -> list[Path]:
-    stem = Path(stem)
-    raw = stem.with_suffix(".c64")
-    np.asarray(field.values, dtype="<c8").tofile(raw)
-    return [raw, _dump_sidecar(stem, "complex_field", field)]
+    return _save_grid(stem, "complex_field", field.values, "<c8")
 
 
 def load_complex_field(path) -> ComplexField:
-    sidecar, _, shape = _load_sidecar(path, "complex_field", "a complex field")
-    data = _read_raw(sidecar.with_suffix(".c64"), shape, np.dtype("<c8"))
-    return ComplexField(data.astype(np.complex128))
+    values, _ = _load_grid(path, "complex_field", "a complex field", "<c8")
+    return ComplexField(values.astype(np.complex128))
 
 
 def save_stack(directory, stack: InterferogramStack, stem: str = "stack") -> list[Path]:
@@ -226,6 +229,12 @@ def write_pgm(path, image) -> Path:
     return path
 
 
+def write_gray(path, values) -> Path:
+    """Write float values as an 8-bit PGM: rounded, then clipped to [0, 255]."""
+    gray = np.round(values)
+    return write_pgm(path, np.clip(gray, 0, 255, out=gray).astype(np.uint8))
+
+
 def export_spectrum(stem, field: ComplexField) -> list[Path]:
     """Write the centered log10-magnitude spectrum of a field.
 
@@ -239,54 +248,49 @@ def export_spectrum(stem, field: ComplexField) -> list[Path]:
     if peak == 0.0:
         log_magnitude = np.zeros(field.shape)
     else:
-        log_magnitude = np.log10(np.maximum(magnitude, peak * 1e-12))
-    paths = [write_f32(stem.with_suffix(".f32"), log_magnitude)]
-    paths.append(_dump_sidecar(stem, "spectrum_log10", field, layout="centered"))
-    span = float(log_magnitude.max() - log_magnitude.min())
-    if span == 0.0:
-        display = np.zeros(field.shape, dtype=np.uint8)
-    else:
-        display = np.round((log_magnitude - log_magnitude.min()) / span * 255).astype(np.uint8)
-    paths.append(write_pgm(stem.with_suffix(".pgm"), display))
+        # 12 decades below the peak, or the least subnormal where that underflows
+        floor = max(peak * 1e-12, np.finfo(np.float64).smallest_subnormal)
+        log_magnitude = np.log10(np.maximum(magnitude, floor))
+    paths = _save_grid(stem, "spectrum_log10", log_magnitude, "<f4", layout="centered")
+    # once on disk, the log magnitude is normalized in place for display
+    log_magnitude -= log_magnitude.min()
+    log_magnitude /= float(log_magnitude.max()) or 1.0
+    log_magnitude *= 255
+    paths.append(write_gray(stem.with_suffix(".pgm"), log_magnitude))
     return paths
 
 
 def load_spectrum(path):
     """Read back an exported spectrum; returns (log-magnitude array, sidecar dict)."""
-    sidecar, meta, shape = _load_sidecar(path, "spectrum_log10", "a spectrum export")
-    values = read_f32(sidecar.with_suffix(".f32"), shape)
-    return values, meta
+    return _load_grid(path, "spectrum_log10", "a spectrum export", "<f4")
 
 
 def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_ftf_csv(path, omegas, values) -> Path:
-    """Frequency-response table: omega_over_pi, re, im, abs."""
+def _write_table(path, header, rows) -> Path:
+    """Write a CSV table: the header's names, then one line per row of cells."""
     path = Path(path)
-    lines = ["omega_over_pi,re,im,abs"]
-    for omega, value in zip(np.asarray(omegas), np.asarray(values)):
-        lines.append(
-            f"{_fmt(omega / np.pi)},{_fmt(value.real)},{_fmt(value.imag)},{_fmt(abs(value))}"
-        )
+    lines = [",".join(header), *(",".join(row) for row in rows)]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def write_ftf_csv(path, omegas, values) -> Path:
+    """Frequency-response table: omega_over_pi, re, im, abs."""
+    rows = ((_fmt(omega / np.pi), _fmt(value.real), _fmt(value.imag), _fmt(abs(value)))
+            for omega, value in zip(np.asarray(omegas), np.asarray(values)))
+    return _write_table(path, ("omega_over_pi", "re", "im", "abs"), rows)
 
 
 def write_line_cut_csv(path, columns: dict) -> Path:
     """Write named 1D arrays of equal length as CSV columns, x index first."""
-    path = Path(path)
-    names = list(columns)
-    arrays = [np.asarray(columns[name]).ravel() for name in names]
-    length = arrays[0].size
-    if any(a.size != length for a in arrays):
+    arrays = [np.asarray(column).ravel() for column in columns.values()]
+    if any(a.size != arrays[0].size for a in arrays):
         raise ValueError("line-cut columns differ in length")
-    lines = ["x," + ",".join(names)]
-    for i in range(length):
-        lines.append(str(i) + "," + ",".join(_fmt(a[i]) for a in arrays))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    rows = ((str(i), *map(_fmt, cells)) for i, cells in enumerate(zip(*arrays)))
+    return _write_table(path, ("x", *columns), rows)
 
 
 def write_montecarlo_csv(path, summary) -> Path:
@@ -295,11 +299,8 @@ def write_montecarlo_csv(path, summary) -> Path:
     One row per successful trial, labelled with its index in the run;
     failed trials (``summary.failures``) have no row.
     """
-    path = Path(path)
     failed = {index for index, _ in summary.failures}
     succeeded = [index for index in range(summary.trials) if index not in failed]
-    lines = ["trial,leak_ratio,pv_waves"]
-    for index, ratio, pv in zip(succeeded, summary.leak_ratios, summary.pv_waves):
-        lines.append(f"{index},{_fmt(ratio)},{_fmt(pv)}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    rows = ((str(index), _fmt(ratio), _fmt(pv))
+            for index, ratio, pv in zip(succeeded, summary.leak_ratios, summary.pv_waves))
+    return _write_table(path, ("trial", "leak_ratio", "pv_waves"), rows)

@@ -325,6 +325,20 @@ def test_overflowing_spectrum_is_degenerate_without_a_warning():
         spatial_from_temporal(field, carrier=carrier, mask=p.SpectralMask(0.35))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("exponent", [512, 530])
+def test_out_of_band_energy_survives_an_overflowing_parseval_total(exponent):
+    # the bins stay finite, but N * sum |S|^2 leaves float64; scaling the
+    # field by a power of two is exact, so the fraction must keep its bits
+    carrier, mask = p.CarrierSpec(0.8, 0.3), p.SpectralMask(0.35)
+    tone = tone_field((64, 64), 0.8, 0.3)
+    _, _, unscaled = spatial_from_temporal(tone, carrier=carrier, mask=mask)
+    field = p.ComplexField(tone.values * 2.0**exponent)
+    _, _, scaled = spatial_from_temporal(field, carrier=carrier, mask=mask)
+    assert 0.0 < unscaled.out_of_band_energy < 1e-30
+    assert scaled.out_of_band_energy == unscaled.out_of_band_energy
+
+
 def test_spatial_refuses_when_signal_band_reaches_carrier(sh5):
     # steep defocus: generate_stack itself refuses, so build frames by hand
     truth = p.synthesize_wavefront("defocus", 60.0, (256, 256))

@@ -345,6 +345,34 @@ def test_parameter_refusals_write_nothing(tmp_path, monkeypatch, args, message):
     assert dir_bytes(tmp_path / "x") == {}
 
 
+@pytest.mark.parametrize("before", ["empty", "earlier-run"])
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # the estimated carrier meets the cutoff only after the spectrum export
+        (("--carrier", 0.5, "--demod-carrier", "estimate", "--cutoff", 0.6, "--export-spectrum"),
+         "mask cutoff 0.6 rad/px must stay below the carrier magnitude 0.491048 rad/px"),
+        # no synthesis carrier: the estimate refuses after the stack and truth exist
+        (("--demod-carrier", "estimate"), "no off-axis carrier lobe"),
+    ],
+    ids=["cutoff-at-estimate", "no-carrier-lobe"],
+)
+def test_data_refusals_leave_out_as_found(tmp_path, args, message, before):
+    out = tmp_path / "x"
+    if before == "earlier-run":
+        code, _, err = run_cli("demod", "--width", 64, "--height", 64, "--amplitude", 2.0,
+                               "--export-spectrum", "--out", out)
+        assert code == 0, err
+    found = dir_bytes(out)
+    code, _, err = run_cli("demod", "--method", "spatial", "--width", 64, "--height", 64, *args,
+                           "--out", out)
+    assert code == 2
+    assert message in err
+    assert dir_bytes(out) == found
+    # and no staging directory is left behind
+    assert sorted(path.name for path in out.iterdir()) == sorted(found)
+
+
 @pytest.mark.parametrize("step", ["nan", "inf"])
 def test_demod_non_finite_omega0_refused(tmp_path, step):
     code, _, err = run_cli("demod", "--width", 32, "--height", 32, "--omega0", step,

@@ -80,6 +80,20 @@ def test_overflowing_amplitudes_are_not_well_posed_without_a_warning(sh5):
     assert not pair.well_posed
 
 
+@pytest.mark.parametrize(
+    "a1, a2, ratio",
+    [(1.5e308 + 1.5e308j, 0.0, 0.0), (1.0, 1.5e308 + 1.5e308j, np.inf)],
+    ids=["a1", "a2"],
+)
+def test_finite_pair_whose_modulus_overflows_refuses(a1, a2, ratio):
+    # Python's abs() of these finite components raises OverflowError
+    pair = p.ConjugatePair(a1, a2)
+    assert pair.leak_ratio == ratio
+    assert not pair.well_posed
+    with pytest.raises(RefusalError, match="the error map needs A1 nonzero and both finite"):
+        p.predicted_error_map(make_ramp(16), pair)
+
+
 def test_error_map_zero_without_conjugate():
     truth = make_ramp(256)
     error = p.predicted_error_map(truth, p.ConjugatePair(1.0, 0.0))

@@ -1,7 +1,13 @@
 """Round trips and byte-level determinism of the on-disk formats."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import psidemod as p
 from psidemod.formats import (
@@ -192,6 +198,15 @@ def test_spectrum_dc_is_centered(tmp_path):
     assert peak == (8, 8)
 
 
+def test_spectrum_of_a_subnormal_field_is_finite(tmp_path):
+    # the floor 12 decades below a subnormal peak underflows to 0, and log10(0) warns
+    field = p.ComplexField(np.full((4, 4), 5e-324 + 0j))
+    export_spectrum(tmp_path / "tiny", field)
+    values, _ = load_spectrum(tmp_path / "tiny.json")
+    assert np.all(np.isfinite(values))
+    assert values.max() == np.float32(np.log10(16 * 5e-324))
+
+
 def test_ftf_csv_layout(tmp_path):
     omegas = np.array([-np.pi / 2, 0.0, np.pi / 2])
     values = np.array([8.0 + 0.0j, 0.0 + 0.0j, 0.0 + 1e-17j])
@@ -256,3 +271,84 @@ def test_montecarlo_csv_labels_rows_with_trial_index(tmp_path, sh5):
     labels = [int(row.split(",")[0]) for row in lines[1:]]
     assert labels == [i for i in range(30) if i not in failed]
     assert [float(row.split(",")[2]) for row in lines[1:]] == pytest.approx(summary.pv_waves)
+
+
+# inside float32's range, so the float32 rounding stays finite
+_FINITE = st.floats(-1e30, 1e30, allow_nan=False)
+_SHAPES = st.tuples(st.integers(2, 33), st.integers(2, 33))
+_SHAPE_KINDS = ("phase", "wrapped-phase", "complex", "spectrum", "zero-spectrum",
+                "f32-stack", "pgm8-stack", "pgm16-stack")
+
+
+def _same_bytes(first, second):
+    return [path.read_bytes() for path in first] == [path.read_bytes() for path in second]
+
+
+@settings(deadline=None, max_examples=200)
+@given(kind=st.sampled_from(_SHAPE_KINDS), shape=_SHAPES, data=st.data())
+def test_every_on_disk_shape_round_trips(kind, shape, data):
+    """Save, load and save again writes the same bytes, and the loaded values
+    are the float32 (complex64) rounding of the saved ones."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if kind in ("phase", "wrapped-phase"):
+            wrapped = kind == "wrapped-phase"
+            elements = st.floats(-np.pi, np.pi, exclude_max=True) if wrapped else _FINITE
+            phase = p.PhaseMap(data.draw(arrays(np.float64, shape, elements=elements)),
+                               wrapped=wrapped)
+            first = save_phase_map(tmp / "phase", phase)
+            loaded = load_phase_map(tmp / "phase.json")
+            assert loaded.wrapped == wrapped
+            assert np.array_equal(loaded.values, phase.values.astype(np.float32))
+            assert _same_bytes(first, save_phase_map(tmp / "again", loaded))
+        elif kind == "complex":
+            elements = st.complex_numbers(max_magnitude=1e30, allow_nan=False, allow_infinity=False)
+            field = p.ComplexField(data.draw(arrays(np.complex128, shape, elements=elements)))
+            first = save_complex_field(tmp / "field", field)
+            loaded = load_complex_field(tmp / "field.c64")
+            assert np.array_equal(loaded.values, field.values.astype(np.complex64))
+            assert _same_bytes(first, save_complex_field(tmp / "again", loaded))
+        elif kind in ("spectrum", "zero-spectrum"):
+            values = np.zeros(shape, dtype=np.complex128)
+            if kind == "spectrum":
+                elements = st.complex_numbers(max_magnitude=1e6, allow_nan=False)
+                values = data.draw(arrays(np.complex128, shape, elements=elements))
+            magnitude = np.abs(np.fft.fftshift(np.fft.fft2(values)))
+            peak = magnitude.max()
+            floor = max(peak * 1e-12, np.finfo(np.float64).smallest_subnormal)
+            expected = np.zeros(shape) if peak == 0.0 else np.log10(np.maximum(magnitude, floor))
+            field = p.ComplexField(values)
+            first = export_spectrum(tmp / "spec", field)
+            loaded, meta = load_spectrum(tmp / "spec.f32")
+            assert np.array_equal(loaded, expected.astype(np.float32))
+            again = [write_f32(tmp / "again.f32", loaded), dump_json(tmp / "again.json", meta)]
+            assert _same_bytes(first[:2], again)
+            assert _same_bytes(first, export_spectrum(tmp / "twice", field))
+        elif kind == "f32-stack":
+            n_frames = data.draw(st.integers(3, 6))
+            frames = data.draw(arrays(np.float64, (n_frames, *shape), elements=_FINITE))
+            errors = data.draw(st.none() | st.lists(_FINITE, min_size=n_frames, max_size=n_frames))
+            metadata = p.StackMetadata(
+                background=data.draw(st.none() | _FINITE),
+                carrier=data.draw(st.none() | st.builds(p.CarrierSpec, st.floats(0.01, 2.0),
+                                                        st.floats(-2.0, 2.0))),
+                errors=None if errors is None else p.ErrorSchedule(errors),
+                seed=data.draw(st.none() | st.integers(0, 2**63)),
+            )
+            stack = p.InterferogramStack(frames, np.pi / 2, metadata)
+            first = save_stack(tmp / "one", stack)
+            loaded = load_stack(tmp / "one" / "stack.json")
+            assert np.array_equal(loaded.frames, frames.astype(np.float32))
+            assert _same_bytes(first, save_stack(tmp / "two", loaded))
+        else:
+            dtype = np.uint8 if kind == "pgm8-stack" else np.uint16
+            n_frames = data.draw(st.integers(3, 6))
+            frames = data.draw(arrays(dtype, (n_frames, *shape)))
+            first = [write_pgm(tmp / f"cam_{i:03d}.pgm", frame) for i, frame in enumerate(frames)]
+            dump_json(tmp / "cam.json", {"width": shape[1], "height": shape[0], "N": n_frames,
+                                         "omega0": np.pi / 2})
+            loaded = load_stack(tmp / "cam.json")
+            assert np.array_equal(loaded.frames, frames)
+            again = [write_pgm(tmp / f"again_{i:03d}.pgm", frame.astype(dtype))
+                     for i, frame in enumerate(loaded.frames)]
+            assert _same_bytes(first, again)

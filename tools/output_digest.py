@@ -35,6 +35,9 @@ FIG9_128 = ["demod", "--preset", "fig9", "--width", "128", "--height", "128",
 # (output directory, CLI arguments); later commands may read earlier outputs
 COMMANDS = (
     ("simulate-fig1", ["simulate", "--preset", "fig1"]),
+    # the read side: a stack loaded from disk, its f32 frames included
+    ("demod-from-file", ["demod", "--stack", "simulate-fig1/stack.json",
+                         "--line-cut-row", "256", "--export-spectrum"]),
     ("demod-fig8", ["demod", "--preset", "fig8"]),
     ("demod-fig9", ["demod", "--preset", "fig9"]),
     ("demod-spatial-128", [*FIG9_128, "--compare-truth"]),
