@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,6 +37,8 @@ _BANDWIDTH_REL_FLOOR = 1e-2
 _SLOPE_MARGIN = 0.95
 # estimate_carrier ignores the FFT bins within this radius of the origin
 _EXCLUSION_RADIUS = 2.0
+# below this, a sum of squares may have lost bits to terms that underflowed
+_UNDERFLOW_FREE = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
 @functools.lru_cache(maxsize=8)
@@ -69,7 +71,7 @@ def _forward(values: np.ndarray, radius: float, out=None) -> np.ndarray:
     return spectrum
 
 
-def _keep_disc(spectrum: np.ndarray, cutoff: float) -> ComplexField:
+def _keep_disc(spectrum: np.ndarray, cutoff: float) -> np.ndarray:
     """Transform back only the bins of a :func:`_forward` spectrum inside
     the cutoff disc, reusing its buffer: zero it, write the inverse row
     transforms of the disc's rows, then invert every column.  Warns when
@@ -86,7 +88,7 @@ def _keep_disc(spectrum: np.ndarray, cutoff: float) -> ComplexField:
     kept[:, cols] = np.where(inside, spectrum[np.ix_(rows, cols)], 0.0)
     spectrum.fill(0.0)
     spectrum[rows] = np.fft.ifft(kept, axis=1, out=kept)
-    return ComplexField(_Owned(np.fft.ifft(spectrum, axis=0, out=spectrum)))
+    return np.fft.ifft(spectrum, axis=0, out=spectrum)
 
 
 @dataclass(frozen=True)
@@ -120,6 +122,20 @@ class SpectralMask:
         return cls(cutoff=carrier.magnitude / 2.0)
 
 
+def _mask_for(carrier: CarrierSpec, mask: SpectralMask | None) -> SpectralMask:
+    """The mask a spatial run on ``carrier`` uses: ``mask``, or the default
+    :meth:`SpectralMask.for_carrier`; refuses a cutoff that reaches the
+    carrier magnitude, which needs no data."""
+    if mask is None:
+        mask = SpectralMask.for_carrier(carrier)
+    if mask.cutoff >= carrier.magnitude:
+        raise RefusalError(
+            f"mask cutoff {mask.cutoff:.6g} rad/px must stay below the carrier "
+            f"magnitude {carrier.magnitude:.6g} rad/px"
+        )
+    return mask
+
+
 def remove_carrier(field: ComplexField, carrier: CarrierSpec) -> ComplexField:
     """Translate the spectrum by multiplying with e^{-i(u0 x + v0 y)}."""
     return ComplexField(_Owned(_centered(field.values, carrier)))
@@ -141,7 +157,7 @@ def lowpass(field: ComplexField, mask: SpectralMask) -> ComplexField:
     round-off.  Warns when the disc admits only the DC bin, since the
     filtered phase is then constant.
     """
-    return _keep_disc(_forward(field.values, mask.cutoff), mask.cutoff)
+    return ComplexField(_Owned(_keep_disc(_forward(field.values, mask.cutoff), mask.cutoff)))
 
 
 def estimate_carrier(field: ComplexField) -> CarrierSpec:
@@ -217,49 +233,22 @@ class SpatialDiagnostics:
     invalid_pixels: int
 
     def to_dict(self) -> dict:
-        return {
-            "carrier": {"u0": self.carrier.u0, "v0": self.carrier.v0},
-            "carrier_source": self.carrier_source,
-            "mask": {
-                "shape": "ideal-disc",
-                "cutoff": self.mask.cutoff,
-                "border_crop": self.mask.border_crop,
-            },
-            "filter_applied": self.filter_applied,
-            "signal_bandwidth": self.signal_bandwidth,
-            "out_of_band_energy": self.out_of_band_energy,
-            "invalid_pixels": self.invalid_pixels,
-        }
+        record = asdict(self)
+        record["mask"]["shape"] = "ideal-disc"
+        return record
 
 
-def _spectral_chain(field, carrier, mask, apply_filter=True, guard=False):
-    """The linear part of :func:`spatial_from_temporal` on one ComplexField:
+def _spectral_chain(values: np.ndarray, carrier: CarrierSpec, apply_filter=True):
+    """Forward half of the linear chain of :func:`spatial_from_temporal`:
     remove the carrier into a fresh buffer, transform its rows and the
-    columns of the carrier disc, take the bins inside it, then invert the
-    mask disc in that buffer, or keep the carrier-removed field when not
-    ``apply_filter``.  The mask cutoff must lie below the carrier magnitude
-    (:func:`_cutoff_below`, checked where the mask enters).  With ``guard``,
-    :func:`_guard_band` refuses on the in-band bins before the inverse could
-    warn.  Returns in-band bins, bandwidth (None unguarded) and field."""
-    # overflowed bins are refused by the guard or by the filtered field
-    with np.errstate(over="ignore", invalid="ignore"):
-        centered = _centered(field.values, carrier)
-        spectrum = _forward(centered, carrier.magnitude, out=centered if apply_filter else None)
-        rows, cols, inside, _ = _disc(spectrum.shape, carrier.magnitude)
-        band = spectrum[np.ix_(rows, cols)][inside]
-        bandwidth = _guard_band(band, field.shape, carrier, mask, apply_filter) if guard else None
-        if not apply_filter:
-            return band, bandwidth, ComplexField(_Owned(centered))
-        return band, bandwidth, _keep_disc(spectrum, mask.cutoff)
-
-
-def _cutoff_below(carrier: CarrierSpec, mask: SpectralMask) -> None:
-    """Refuse a mask whose cutoff reaches the carrier magnitude; needs no data."""
-    if mask.cutoff >= carrier.magnitude:
-        raise RefusalError(
-            f"mask cutoff {mask.cutoff:.6g} rad/px must stay below the carrier "
-            f"magnitude {carrier.magnitude:.6g} rad/px"
-        )
+    columns of the carrier disc (in that buffer only when ``apply_filter``;
+    otherwise it keeps the carrier-removed field), and return the bins inside
+    that disc and the buffer.  Callers guard the bins (:func:`_guard_band`)
+    before the inverse :func:`_keep_disc`, both under one overflow ``errstate``."""
+    buffer = _centered(values, carrier)
+    spectrum = _forward(buffer, carrier.magnitude, out=buffer if apply_filter else None)
+    rows, cols, inside, _ = _disc(spectrum.shape, carrier.magnitude)
+    return spectrum[np.ix_(rows, cols)][inside], buffer
 
 
 def _guard_band(in_band: np.ndarray, shape, carrier: CarrierSpec, mask: SpectralMask,
@@ -292,12 +281,15 @@ def _guard_band(in_band: np.ndarray, shape, carrier: CarrierSpec, mask: Spectral
 
 def _energy_fraction(admitted: np.ndarray, values: np.ndarray) -> float:
     """sum |admitted|^2 over the Parseval total N * sum |values|^2.  When a
-    sum overflows, both are taken again on values scaled by one power of
-    two, which is exact, so the fraction keeps the bits it would have."""
+    sum overflows, or lies where its terms may have underflowed while some
+    are not zero, both are taken again on values scaled by one power of two,
+    which is exact, so the fraction keeps the bits it would have."""
     with np.errstate(over="ignore"):
         kept = np.sum(np.abs(admitted) ** 2)
     total = values.size * np.vdot(values, values).real
-    if not (np.isfinite(kept) and np.isfinite(total)):
+    # the guard refuses an all-zero field, so a total below this underflowed too
+    if not (np.isfinite(kept) and _UNDERFLOW_FREE <= total < np.inf
+            and (kept >= _UNDERFLOW_FREE or not admitted.any())):
         peak = max(np.abs(values.real).max(), np.abs(values.imag).max())
         scale = 2.0 ** -int(np.frexp(peak)[1])
         admitted, values = admitted * scale, values * scale
@@ -370,11 +362,13 @@ def spatial_from_temporal(
     else:
         carrier, source = estimate_carrier(temporal), "estimated"
 
-    if mask is None:
-        mask = SpectralMask.for_carrier(carrier)
-    _cutoff_below(carrier, mask)
-
-    band, bandwidth, filtered = _spectral_chain(temporal, carrier, mask, apply_filter, guard=True)
+    mask = _mask_for(carrier, mask)
+    # overflowed bins are refused by the guard or by the filtered field; the
+    # guard runs before the inverse, which would warn on a DC-only cutoff
+    with np.errstate(over="ignore", invalid="ignore"):
+        band, buffer = _spectral_chain(temporal.values, carrier, apply_filter)
+        bandwidth = _guard_band(band, temporal.shape, carrier, mask, apply_filter)
+        filtered = ComplexField(_Owned(_keep_disc(buffer, mask.cutoff) if apply_filter else buffer))
     # the guarded cutoff disc lies inside the carrier disc, and carrier removal
     # keeps the modulus, so the total spectral energy is N * sum |temporal|^2
     radii = _disc(temporal.shape, carrier.magnitude)[3]

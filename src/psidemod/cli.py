@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .carrier import SpectralMask, remove_carrier, spatial_from_temporal
+from .carrier import SpectralMask, _mask_for, remove_carrier, spatial_from_temporal
 from .conjugate import ConjugatePair, predicted_error_map
 from .errors import DegeneracyError
 from .fields import (
@@ -398,7 +398,7 @@ def _run_demod(params: dict, out: Path) -> None:
         # a named or recorded carrier settles the default mask's crop now, before
         # the bandwidth guard could refuse; an estimated carrier is known only later
         known = carrier if carrier is not None else recorded
-        resolved = mask if mask is not None or known is None else SpectralMask.for_carrier(known)
+        resolved = mask if known is None else _mask_for(known, mask)
         if resolved is not None:
             _interior((stack.height, stack.width), resolved.border_crop)
 
@@ -529,14 +529,16 @@ def _run_replay(args) -> int:
 
 
 def _execute(command: str, params: dict, out: Path) -> int:
-    """Run one command in a fresh directory inside ``out`` and, only when it
-    succeeds, move its files into ``out`` and record the manifest last, so a
-    refused or failed run leaves the files of ``out`` as it found them."""
-    out.mkdir(parents=True, exist_ok=True)
+    """Run one command in a fresh directory inside ``out``, or inside its
+    nearest existing parent, and, only when it succeeds, create ``out``, move
+    the files into it and record the manifest last, so a refused or failed
+    run leaves ``out`` and its parents as it found them."""
     _, runner, _, _ = COMMANDS[command]
-    staging = Path(tempfile.mkdtemp(dir=out))
+    anchor = next(path for path in (out, *out.parents) if path.exists())
+    staging = Path(tempfile.mkdtemp(dir=anchor))
     try:
         runner(params, staging)
+        out.mkdir(parents=True, exist_ok=True)
         for path in staging.iterdir():
             path.replace(out / path.name)
     finally:

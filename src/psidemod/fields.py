@@ -35,7 +35,13 @@ def wrap(values):
     np.floor(w, out=w)
     w *= TWO_PI
     np.subtract(v, w, out=w)
-    return fold(w)
+    fold(w)
+    # past about 1e16 rad the rounded multiple of 2 pi misses v by periods; those
+    # entries take the angle of e^{iv}, whose sin and cos reduce v accurately
+    if w.size and not (w.min() >= -np.pi and w.max() < np.pi):
+        far = (w < -np.pi) | (w >= np.pi)
+        w[far] = fold(np.arctan2(np.sin(v[far]), np.cos(v[far])))
+    return w
 
 
 def fold(w):

@@ -7,12 +7,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .carrier import SpectralMask, _cutoff_below, _guard_band, _spectral_chain
+from .carrier import SpectralMask, _guard_band, _keep_disc, _mask_for, _spectral_chain
 from .errors import DegeneracyError, RefusalError
 from .fields import (
     TWO_PI,
     CarrierSpec,
-    ComplexField,
     PhaseMap,
     _freeze,
     _overflowed,
@@ -258,9 +257,9 @@ class _TrialBasis:
         """In-band spectrum bins (none for temporal) and demodulated field;
         of the mask only the cutoff is read."""
         if self.method == "spatial":
-            band, _, filtered = _spectral_chain(ComplexField(_Owned(field)), self.carrier,
-                                                self.mask)
-            return band, filtered.values
+            with np.errstate(over="ignore", invalid="ignore"):
+                band, spectrum = _spectral_chain(field, self.carrier)
+                return band, _keep_disc(spectrum, self.mask.cutoff)
         return np.zeros(0, dtype=np.complex128), field
 
     def trial(self, pair, noise_sigma, noise_seed):
@@ -268,16 +267,16 @@ class _TrialBasis:
         pair is ``pair``, with the noise :func:`generate_stack` adds for
         ``noise_seed`` when ``noise_sigma > 0``."""
         weights = np.array([pair.a1, pair.a2, self.background_gain])
-        # amplitudes near the float limit overflow; the caller refuses the trial
+        # amplitudes or noise near the float limit overflow; the caller refuses the trial
         with np.errstate(over="ignore", invalid="ignore"):
             band, z = weights @ self.bands, np.tensordot(weights, self.fields, 1)
-        if noise_sigma > 0.0:
-            # the noise frames generate_stack adds for this seed, contracted
-            rng = np.random.default_rng(noise_seed)
-            noise = rng.normal(0.0, noise_sigma, size=(self.taps.size,) + z.shape)
-            noise_band, noise_field = self._chain(_contract(noise, self.taps))
-            band += noise_band
-            z += noise_field * self.rotation
+            if noise_sigma > 0.0:
+                # the noise frames generate_stack adds for this seed, contracted
+                rng = np.random.default_rng(noise_seed)
+                noise = rng.normal(0.0, noise_sigma, size=(self.taps.size,) + z.shape)
+                noise_band, noise_field = self._chain(_contract(noise, self.taps))
+                band += noise_band
+                z += noise_field * self.rotation
         return band, z
 
 
@@ -370,9 +369,7 @@ def montecarlo_repeatability(
     if method == "spatial":
         if carrier is None:
             raise ValueError("spatial method requires a carrier")
-        if mask is None:
-            mask = SpectralMask.for_carrier(carrier)
-        _cutoff_below(carrier, mask)
+        mask = _mask_for(carrier, mask)
         if crop is None:
             crop = mask.border_crop
     elif crop is None:

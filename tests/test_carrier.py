@@ -1,6 +1,7 @@
 """Spatial-carrier helpers: removal, filtering, estimation, demodulation."""
 
 import dataclasses
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -306,6 +307,19 @@ def test_spatial_refuses_cutoff_at_or_above_carrier(sh5, defocus_truth):
         p.demodulate_spatial(stack, sh5, mask=p.SpectralMask(np.pi / 3))
 
 
+def test_bandwidth_refusal_comes_before_a_dc_only_cutoff_warning():
+    # the cutoff admits only the DC bin, so the inverse would warn; the
+    # bandwidth guard must refuse first, with no warning on the way
+    truth = p.synthesize_wavefront("defocus", 4.0, (32, 32))
+    carrier = p.CarrierSpec(2 * np.pi * 2 / 32)
+    field = p.ComplexField(np.exp(1j * (truth.values + carrier.phase_field((32, 32)))))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RefusalError, match="estimated signal bandwidth"):
+            spatial_from_temporal(field, carrier=carrier, mask=p.SpectralMask(0.1))
+    assert [str(warning.message) for warning in caught] == []
+
+
 def test_spatial_refuses_cutoff_before_any_transform():
     carrier = p.CarrierSpec(np.pi / 4, 0.0)
     field = tone_field((32, 32), np.pi / 4)
@@ -326,10 +340,12 @@ def test_overflowing_spectrum_is_degenerate_without_a_warning():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("exponent", [512, 530])
+@pytest.mark.parametrize("exponent", [512, 530, -500, -540])
 def test_out_of_band_energy_survives_an_overflowing_parseval_total(exponent):
-    # the bins stay finite, but N * sum |S|^2 leaves float64; scaling the
-    # field by a power of two is exact, so the fraction must keep its bits
+    # the bins stay finite, but a sum leaves float64's normal range: N * sum
+    # |S|^2 overflows at 2**512 and 2**530, the admitted sum underflows at
+    # 2**-500, and both sums at 2**-540; scaling the field by a power of two
+    # is exact, so the fraction must keep its bits
     carrier, mask = p.CarrierSpec(0.8, 0.3), p.SpectralMask(0.35)
     tone = tone_field((64, 64), 0.8, 0.3)
     _, _, unscaled = spatial_from_temporal(tone, carrier=carrier, mask=mask)
@@ -386,6 +402,19 @@ def test_diagnostics_serialize(sh5):
     stack = spatial_stack(truth, p.CarrierSpec(np.pi / 4, 0.0))
     _, _, diag = p.demodulate_spatial(stack, sh5)
     d = diag.to_dict()
+    # diagnostics.json carries exactly these keys
+    assert {key: sorted(value) if isinstance(value, dict) else None
+            for key, value in d.items()} == {
+        "carrier": ["u0", "v0"],
+        "carrier_source": None,
+        "mask": ["border_crop", "cutoff", "shape"],
+        "filter_applied": None,
+        "signal_bandwidth": None,
+        "out_of_band_energy": None,
+        "invalid_pixels": None,
+    }
+    assert d["mask"]["shape"] == "ideal-disc"
+    assert d["carrier"] == {"u0": np.pi / 4, "v0": 0.0}
     assert d["carrier_source"] == "metadata"
     assert d["filter_applied"] is True
     assert d["mask"]["cutoff"] == pytest.approx(np.pi / 8)

@@ -345,7 +345,7 @@ def test_parameter_refusals_write_nothing(tmp_path, monkeypatch, args, message):
     assert dir_bytes(tmp_path / "x") == {}
 
 
-@pytest.mark.parametrize("before", ["empty", "earlier-run"])
+@pytest.mark.parametrize("before", ["absent", "empty", "earlier-run"])
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -358,19 +358,25 @@ def test_parameter_refusals_write_nothing(tmp_path, monkeypatch, args, message):
     ids=["cutoff-at-estimate", "no-carrier-lobe"],
 )
 def test_data_refusals_leave_out_as_found(tmp_path, args, message, before):
-    out = tmp_path / "x"
+    def tree():
+        return {path: path.read_bytes() if path.is_file() else None
+                for path in tmp_path.rglob("*")}
+
+    # an absent --out whose parent is absent too: neither may be left behind
+    out = tmp_path / "x" / "deep" if before == "absent" else tmp_path / "x"
+    if before == "empty":
+        out.mkdir()
     if before == "earlier-run":
         code, _, err = run_cli("demod", "--width", 64, "--height", 64, "--amplitude", 2.0,
                                "--export-spectrum", "--out", out)
         assert code == 0, err
-    found = dir_bytes(out)
+    found = tree()
     code, _, err = run_cli("demod", "--method", "spatial", "--width", 64, "--height", 64, *args,
                            "--out", out)
     assert code == 2
     assert message in err
-    assert dir_bytes(out) == found
-    # and no staging directory is left behind
-    assert sorted(path.name for path in out.iterdir()) == sorted(found)
+    # every file keeps its bytes, and no directory is made or left, staging included
+    assert tree() == found
 
 
 @pytest.mark.parametrize("step", ["nan", "inf"])

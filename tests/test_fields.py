@@ -21,6 +21,22 @@ def test_wrap_range_and_periodicity():
     assert p.wrap(-np.pi) == -np.pi
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(1e15, 1e300), st.sampled_from([-1.0, 1.0])),
+                min_size=1, max_size=8))
+def test_wrap_brings_large_values_into_range(draws):
+    # the two values first seen outside [-pi, pi) come along in every draw
+    values = np.array([2.342e21, 1.686e19] + [sign * magnitude for magnitude, sign in draws])
+    wrapped = p.wrap(values)
+    assert np.all((wrapped >= -np.pi) & (wrapped < np.pi))
+    # an entry that one rounded multiple of 2 pi and one fold put in range keeps its bits
+    product = values - np.floor((values + np.pi) / (2 * np.pi)) * (2 * np.pi)
+    product[product < -np.pi] += 2 * np.pi
+    product[product >= np.pi] -= 2 * np.pi
+    kept = (product >= -np.pi) & (product < np.pi)
+    assert np.array_equal(wrapped[kept].view(np.int64), product[kept].view(np.int64))
+
+
 def test_phase_map_validation():
     with pytest.raises(ValueError):
         p.PhaseMap(np.zeros((1, 5)))

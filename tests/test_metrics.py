@@ -434,6 +434,19 @@ def test_montecarlo_overflow_fails_every_trial_without_a_warning(sh5, method, no
         assert "computed from finite input overflowed to non-finite values" in reason
 
 
+@pytest.mark.parametrize("method", ["temporal", "spatial"])
+def test_montecarlo_noise_overflow_fails_its_own_trials_without_a_warning(sh5, method):
+    # noise frames near the float limit overflow in each trial's noise leg;
+    # that fails the trial, not the call, and raises no numpy warning
+    summary = p.montecarlo_repeatability(
+        p.synthesize_wavefront("defocus", 2.0, (48, 40)), sh5, method=method,
+        carrier=p.CarrierSpec(0.8, 0.3), trials=3, noise_sigma=1e308,
+    )
+    assert summary.pv_waves == () and summary.n_failed == 3
+    for _, reason in summary.failures:
+        assert "computed from finite input overflowed to non-finite values" in reason
+
+
 def test_montecarlo_validation(sh5, defocus_truth):
     with pytest.raises(ValueError):
         p.montecarlo_repeatability(defocus_truth, sh5, trials=1)

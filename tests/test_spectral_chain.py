@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import psidemod as p
 from psidemod import metrics
-from psidemod.carrier import (_cutoff_below, _disc, _guard_band, _spectral_chain,
+from psidemod.carrier import (_disc, _guard_band, _mask_for, _spectral_chain,
                               spatial_from_temporal)
 
 TOL = 1e-12
@@ -38,7 +38,7 @@ def _full_grid_radii(shape):
 
 
 def reference_out_of_band(temporal, carrier, mask, apply_filter):
-    _cutoff_below(carrier, mask)
+    _mask_for(carrier, mask)
     centered = p.remove_carrier(temporal, carrier)
     spectrum = np.fft.fft2(centered.values)
     rho = _full_grid_radii(spectrum.shape)
@@ -54,7 +54,7 @@ def reference_out_of_band(temporal, carrier, mask, apply_filter):
 def reference_chain(temporal, carrier, mask, apply_filter):
     """In-band bins, bandwidth, out-of-band energy and field of the full-grid
     chain: one ``fft2``, boolean masks over the whole grid, one ``ifft2``."""
-    _cutoff_below(carrier, mask)
+    _mask_for(carrier, mask)
     centered = p.remove_carrier(temporal, carrier)
     spectrum = np.fft.fft2(centered.values)
     rho = _full_grid_radii(spectrum.shape)
@@ -153,7 +153,8 @@ def _chain(temporal, carrier, mask, apply_filter):
         # the chain takes as its precondition, so it runs first
         _, field, diag = spatial_from_temporal(temporal, carrier=carrier, mask=mask,
                                                apply_filter=apply_filter)
-        band, bandwidth, _ = _spectral_chain(temporal, carrier, mask, apply_filter, guard=True)
+        band, _ = _spectral_chain(temporal.values, carrier, apply_filter)
+        bandwidth = _guard_band(band, temporal.shape, carrier, mask, apply_filter)
     assert diag.signal_bandwidth == bandwidth
     return band, bandwidth, diag.out_of_band_energy, field.values
 
