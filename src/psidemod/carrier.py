@@ -186,7 +186,7 @@ def estimate_carrier(field: ComplexField) -> CarrierSpec:
     outside = np.where(excluded, 0.0, magnitude)
     peak_out = float(outside.max())
     peak_in = float(np.where(excluded, magnitude, 0.0).max())
-    if peak_out == 0.0 or peak_out <= peak_in:
+    if peak_out <= peak_in:
         raise RefusalError(
             "no off-axis carrier lobe: the spectrum is dominated by the excluded "
             f"low-frequency disc (peak inside {peak_in:.6g} vs outside {peak_out:.6g}); "
@@ -251,11 +251,9 @@ def _spectral_chain(values: np.ndarray, carrier: CarrierSpec, apply_filter=True)
     return spectrum[np.ix_(rows, cols)][inside], buffer
 
 
-def _guard_band(in_band: np.ndarray, shape, carrier: CarrierSpec, mask: SpectralMask,
-                apply_filter: bool = True) -> float:
-    """Apply the data refusals of :func:`spatial_from_temporal` to a
-    carrier-removed spectrum, given its bins inside the carrier disc, and
-    return the occupied signal bandwidth in rad/px."""
+def _guard_band(in_band: np.ndarray, shape, carrier: CarrierSpec) -> float:
+    """The data refusals of :func:`spatial_from_temporal` on the carrier-removed
+    bins inside the carrier disc; returns the occupied signal bandwidth B in rad/px."""
     magnitude = np.abs(in_band)
     peak = float(magnitude.max())
     if not np.isfinite(peak):
@@ -264,17 +262,12 @@ def _guard_band(in_band: np.ndarray, shape, carrier: CarrierSpec, mask: Spectral
         raise DegeneracyError("demodulated field has an empty spectrum")
     radii = _disc(shape, carrier.magnitude)[3]
     bandwidth = float(radii[magnitude >= _BANDWIDTH_REL_FLOOR * peak].max())
+    # B < 0.95|c| puts the conjugate lobe's inner edge 2|c| - B above 1.05|c| > cutoff
     if bandwidth >= _SLOPE_MARGIN * carrier.magnitude:
         raise RefusalError(
             f"estimated signal bandwidth {bandwidth:.6g} rad/px reaches the carrier "
             f"magnitude {carrier.magnitude:.6g} rad/px: the carrier does not exceed "
             "the wavefront slope, so the signal and conjugate lobes overlap"
-        )
-    if apply_filter and 2.0 * carrier.magnitude - bandwidth <= mask.cutoff:
-        raise RefusalError(
-            f"conjugate lobe at 2x the carrier ({2.0 * carrier.magnitude:.6g} rad/px) "
-            f"spread by the signal bandwidth {bandwidth:.6g} rad/px reaches the mask "
-            f"cutoff {mask.cutoff:.6g} rad/px; shrink the cutoff or raise the carrier"
         )
     return bandwidth
 
@@ -337,16 +330,15 @@ def spatial_from_temporal(
     The carrier is ``carrier`` when given, else ``metadata_carrier`` (the
     stack's recorded carrier), else estimated from ``temporal``.
 
-    Guards, all refusals with diagnostics:
+    Guards, both refusals with diagnostics:
 
     * the mask cutoff must stay below the carrier magnitude;
     * the occupied signal bandwidth B (largest radius holding spectral
       magnitude above 1% of the signal peak after carrier removal) must
       stay below 0.95x the carrier magnitude, the sampled analog of
-      requiring the carrier to exceed the maximum wavefront slope;
-    * the conjugate lobe centered at 2x the carrier, spread by B, must not
-      reach the cutoff (``2*carrier - B > cutoff``), checked only when the
-      filter is applied.
+      requiring the carrier to exceed the maximum wavefront slope.  Then
+      the conjugate lobe, centered at 2x the carrier and spread by B, stays
+      off the mask: ``2*carrier - B > 1.05*carrier > cutoff``.
 
     Returns
     -------
@@ -367,7 +359,7 @@ def spatial_from_temporal(
     # guard runs before the inverse, which would warn on a DC-only cutoff
     with np.errstate(over="ignore", invalid="ignore"):
         band, buffer = _spectral_chain(temporal.values, carrier, apply_filter)
-        bandwidth = _guard_band(band, temporal.shape, carrier, mask, apply_filter)
+        bandwidth = _guard_band(band, temporal.shape, carrier)
         filtered = ComplexField(_Owned(_keep_disc(buffer, mask.cutoff) if apply_filter else buffer))
     # the guarded cutoff disc lies inside the carrier disc, and carrier removal
     # keeps the modulus, so the total spectral energy is N * sum |temporal|^2

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import DegeneracyError, RefusalError
 
 TWO_PI = 2.0 * np.pi
+# wrap's multiple of 2 pi misses by about 1e-16 |x|: 1e-10 rad here, periods past 1e16
+_FAR = 2.0**20
 
 WAVEFRONT_KINDS = ("flat", "tilt", "defocus", "astigmatism", "polynomial")
 ERROR_KINDS = ("zero", "uniform", "gaussian", "quadratic-pzt")
@@ -36,10 +38,10 @@ def wrap(values):
     w *= TWO_PI
     np.subtract(v, w, out=w)
     fold(w)
-    # past about 1e16 rad the rounded multiple of 2 pi misses v by periods; those
-    # entries take the angle of e^{iv}, whose sin and cos reduce v accurately
-    if w.size and not (w.min() >= -np.pi and w.max() < np.pi):
-        far = (w < -np.pi) | (w >= np.pi)
+    # finite entries from _FAR on take the angle of e^{iv}, whose sin and cos
+    # reduce v accurately at any magnitude
+    if v.size and not (-_FAR < v.min() and v.max() < _FAR):
+        far = np.isfinite(v) & (np.abs(v) >= _FAR)
         w[far] = fold(np.arctan2(np.sin(v[far]), np.cos(v[far])))
     return w
 

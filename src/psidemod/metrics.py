@@ -391,7 +391,7 @@ def montecarlo_repeatability(
         band, z = basis.trial(pair, noise_sigma, noise_seed)
         try:
             if method == "spatial":
-                _guard_band(band, truth.shape, carrier, mask)
+                _guard_band(band, truth.shape, carrier)
             report = _phasor_report(z, basis.reference, crop)
         except (RefusalError, DegeneracyError) as exc:
             failures.append((index, str(exc)))

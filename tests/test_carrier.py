@@ -373,6 +373,12 @@ def test_spatial_refuses_when_signal_band_reaches_carrier(sh5):
         p.demodulate_spatial(stack, p.sh5_spec(), carrier=carrier)
 
 
+def test_spatial_refuses_an_empty_spectrum():
+    stack = p.InterferogramStack(np.zeros((5, 32, 32)), np.pi / 2)
+    with pytest.raises(DegeneracyError, match="demodulated field has an empty spectrum"):
+        p.demodulate_spatial(stack, p.sh5_spec(), carrier=p.CarrierSpec(np.pi / 4))
+
+
 def test_carrier_resolution_priority(sh5):
     truth = make_bandlimited((256, 256), pv=1.0, cycles=(2, 2))
     carrier = p.CarrierSpec(np.pi / 4, 0.0)

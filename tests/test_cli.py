@@ -66,6 +66,23 @@ def test_simulate_fig1_outputs(tmp_path):
     assert len(cut) == 513
 
 
+def test_simulate_polynomial_wavefront_from_json_coefficients(tmp_path):
+    out = tmp_path / "poly"
+    code, _, err = run_cli("simulate", "--wavefront", "polynomial", "--coefficients",
+                           "[[0, 1], [1, 0]]", "--width", 32, "--height", 24,
+                           "--amplitude", 2.0, "--out", out)
+    assert code == 0, err
+    assert read_json(out / "manifest.json")["parameters"]["coefficients"] == [[0, 1], [1, 0]]
+    expected = p.synthesize_wavefront("polynomial", 2.0, (24, 32), coefficients=[[0, 1], [1, 0]])
+    # the truth is stored as float32
+    assert np.array_equal(load_phase_map(out / "truth.json").values,
+                          expected.values.astype(np.float32))
+    code, _, err = run_cli("simulate", "--wavefront", "polynomial", "--coefficients", "3",
+                           "--out", tmp_path / "x")
+    assert code == 2
+    assert "argument --coefficients: invalid parse_coefficients value: '3'" in err
+
+
 def test_simulate_deterministic(tmp_path):
     args = (
         "simulate",
@@ -763,6 +780,7 @@ def test_config_strings_go_through_the_flag_parser(tmp_path, key, text, parsed):
         ({"carrier": [0.7]}, "config file sets 'carrier' to [0.7], not null or a [u0, v0] pair"),
         ({"errors": 0.3}, "config file sets 'errors' to 0.3, not a string"),
         ({"contrast": None}, "config file sets 'contrast' to None, not a number"),
+        ({"coefficients": "3"}, "coefficients must be a JSON nested list, got '3'"),
     ],
 )
 def test_config_malformed_values_refused(tmp_path, payload, message):
@@ -786,6 +804,7 @@ def test_config_malformed_values_refused(tmp_path, payload, message):
         ({"command": "simulate", "parameters": [1]}, "manifest must be a JSON object"),
         ({"command": "simulate", "parameters": {"height": 32.5}},
          "manifest sets 'height' to 32.5, not an integer"),
+        ({"command": "fly", "parameters": {}}, "manifest names unknown command 'fly'"),
     ],
 )
 def test_replay_of_a_malformed_manifest_refused(tmp_path, manifest, message):

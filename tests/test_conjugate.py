@@ -56,10 +56,16 @@ def test_schedule_length_mismatch_refused(sh5):
         p.conjugate_amplitudes(sh5, p.ErrorSchedule([0.0, 0.1, 0.2]), 1.0)
 
 
+def test_zero_contrast_refused(sh5):
+    with pytest.raises(ValueError, match="contrast must be finite and > 0, got 0.0"):
+        p.conjugate_amplitudes(sh5, p.ErrorSchedule(np.zeros(5)), contrast=0.0)
+
+
 def test_degenerate_pair_refuses_error_map():
     pair = p.ConjugatePair(0.0, 1.0)
     assert not pair.well_posed
     assert pair.leak_ratio == np.inf
+    assert np.isnan(pair.relative_phase)
     truth = make_ramp(64)
     with pytest.raises(RefusalError):
         p.predicted_error_map(truth, pair)

@@ -22,19 +22,24 @@ def test_wrap_range_and_periodicity():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.floats(1e15, 1e300), st.sampled_from([-1.0, 1.0])),
-                min_size=1, max_size=8))
-def test_wrap_brings_large_values_into_range(draws):
-    # the two values first seen outside [-pi, pi) come along in every draw
-    values = np.array([2.342e21, 1.686e19] + [sign * magnitude for magnitude, sign in draws])
+@given(st.lists(st.tuples(st.floats(2.0**20, 1e300), st.sampled_from([-1.0, 1.0])),
+                min_size=1, max_size=8),
+       st.lists(st.floats(-2.0**20, 2.0**20, exclude_min=True, exclude_max=True), max_size=8))
+def test_wrap_brings_large_values_into_range(draws, small):
+    # the two values first seen outside [-pi, pi), and one the old arithmetic
+    # put at 0.0, come along in every draw
+    large = np.array([2.342e21, 1.686e19, 5e16] + [sign * magnitude for magnitude, sign in draws])
+    values = np.concatenate([large, small])
     wrapped = p.wrap(values)
     assert np.all((wrapped >= -np.pi) & (wrapped < np.pi))
-    # an entry that one rounded multiple of 2 pi and one fold put in range keeps its bits
+    # from 2**20 on, the value congruent mod 2 pi: the angle of e^{ix}
+    gap = np.abs(wrapped[:large.size] - np.arctan2(np.sin(large), np.cos(large)))
+    assert np.all(np.minimum(gap, 2 * np.pi - gap) <= 1e-12), gap
+    # below it, one rounded multiple of 2 pi and one fold, bit for bit
     product = values - np.floor((values + np.pi) / (2 * np.pi)) * (2 * np.pi)
     product[product < -np.pi] += 2 * np.pi
     product[product >= np.pi] -= 2 * np.pi
-    kept = (product >= -np.pi) & (product < np.pi)
-    assert np.array_equal(wrapped[kept].view(np.int64), product[kept].view(np.int64))
+    assert np.array_equal(wrapped[large.size:].view(np.int64), product[large.size:].view(np.int64))
 
 
 def test_phase_map_validation():
@@ -127,6 +132,18 @@ def test_synthesize_rejects_bad_inputs():
         p.synthesize_wavefront("defocus", np.inf, (64, 64))
     with pytest.raises(ValueError):
         p.synthesize_wavefront("polynomial", 1.0, (64, 64))
+    with pytest.raises(ValueError, match="at least 2x2, got 1x5"):
+        p.synthesize_wavefront("defocus", 1.0, (1, 5))
+    with pytest.raises(ValueError, match="polynomial coefficients must be finite"):
+        p.synthesize_wavefront("polynomial", 1.0, (8, 8), coefficients=[[0.0, np.nan]])
+
+
+def test_constant_profile_scales_only_to_zero():
+    # the four pixels of a 2x2 grid lie at one distance from its centre
+    with pytest.raises(ValueError, match="defocus profile is constant on this grid"):
+        p.synthesize_wavefront("defocus", 1.0, (2, 2))
+    flat = p.synthesize_wavefront("defocus", 0.0, (2, 2))
+    assert np.array_equal(flat.values, np.zeros((2, 2)))
 
 
 def test_error_schedule_zero_kind():
@@ -164,6 +181,8 @@ def test_error_schedule_rejects_bad_inputs():
         p.make_error_schedule("sinusoidal", 5)
     with pytest.raises(ValueError):
         p.make_error_schedule("quadratic-pzt", 5, magnitude=0.02)
+    with pytest.raises(ValueError, match="schedule magnitude must be finite"):
+        p.make_error_schedule("uniform", 5, magnitude=np.inf)
 
 
 def test_generate_stack_flat_constants():

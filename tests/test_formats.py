@@ -180,6 +180,21 @@ def test_pgm_rejects_bad_inputs(tmp_path):
         write_pgm(tmp_path / "v.pgm", np.zeros(4, dtype=np.uint8))
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b"P5\n4 4\n", "truncated PGM header"),
+        (b"P5\n1 1\n0\n\x00", "unsupported maxval 0"),
+        (b"P5\n1 1\n65536\n\x00\x00", "unsupported maxval 65536"),
+    ],
+    ids=["truncated", "maxval-0", "maxval-65536"],
+)
+def test_read_pgm_refuses_a_bad_header(tmp_path, header, message):
+    (tmp_path / "bad.pgm").write_bytes(header)
+    with pytest.raises(ValueError, match=message):
+        read_pgm(tmp_path / "bad.pgm")
+
+
 def test_spectrum_export_round_trip(tmp_path):
     truth = make_bandlimited((32, 32), pv=1.5, cycles=(2, 1))
     field = p.ComplexField(np.exp(1j * truth.values))

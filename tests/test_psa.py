@@ -105,6 +105,20 @@ def test_taps_from_zeros_refuses_a_bad_nominal_step(step):
         p.taps_from_zeros([np.pi / 2], step)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: p.ftf_sweep(p.sh5_spec(), 1), "need at least 2 sweep samples, got 1"),
+        (lambda: p.taps_from_zeros([], np.pi / 2), "need at least one zero location"),
+        (lambda: p.taps_from_zeros([0.0, np.inf], np.pi / 2), "zero locations must be finite"),
+    ],
+    ids=["one-sample-sweep", "no-zeros", "non-finite-zero"],
+)
+def test_sweep_and_zero_design_refuse_bad_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_psa_spec_validation():
     with pytest.raises(ValueError):
         p.PsaSpec(np.array([1.0]), np.pi / 2)

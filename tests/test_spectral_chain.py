@@ -9,8 +9,9 @@ so the two may differ in the last digits; the bound is 1e-12 relative.
 ``reference_chain`` is the full-grid chain the band-limited one replaced:
 ``remove_carrier``, ``fft2``, a full-grid disc mask and ``ifft2``.  The
 band-limited chain applies the same 1-D transforms in the same axis order,
-so against it every output must be bit-identical.  Refusals must be the same
-exception with the same message.
+so against it every output must be bit-identical.  Both oracles refuse through
+``reference_guard``, which shares no code with the library's guard, and
+refusals must be the same exception with the same message.
 """
 
 import math
@@ -24,8 +25,7 @@ from hypothesis import strategies as st
 
 import psidemod as p
 from psidemod import metrics
-from psidemod.carrier import (_disc, _guard_band, _mask_for, _spectral_chain,
-                              spatial_from_temporal)
+from psidemod.carrier import _disc, _guard_band, _spectral_chain, spatial_from_temporal
 
 TOL = 1e-12
 TWO_PI = 2 * np.pi
@@ -37,13 +37,44 @@ def _full_grid_radii(shape):
                     TWO_PI * np.fft.fftfreq(height)[:, None])
 
 
+def reference_guard(spectrum, rho, carrier, mask, apply_filter):
+    """The spatial refusals read off the full-grid spectrum, independently of
+    the library, and the bandwidth: the largest radius inside the carrier disc
+    holding 1% of the peak.  The conjugate-lobe refusal that the library drops,
+    as implied by the cutoff and bandwidth refusals, is kept here, so a
+    refusal it alone made would show as a mismatch."""
+    if mask.cutoff >= carrier.magnitude:
+        raise p.RefusalError(
+            f"mask cutoff {mask.cutoff:.6g} rad/px must stay below the carrier "
+            f"magnitude {carrier.magnitude:.6g} rad/px"
+        )
+    in_band = rho <= carrier.magnitude
+    magnitude = np.abs(spectrum)
+    peak = magnitude[in_band].max()
+    if not np.isfinite(peak):
+        raise p.DegeneracyError(
+            f"carrier-removed spectrum of shape {spectrum.shape} computed from finite input "
+            "overflowed to non-finite values"
+        )
+    if peak == 0.0:
+        raise p.DegeneracyError("demodulated field has an empty spectrum")
+    bandwidth = float(rho[in_band & (magnitude >= 0.01 * peak)].max())
+    if bandwidth >= 0.95 * carrier.magnitude:
+        raise p.RefusalError(
+            f"estimated signal bandwidth {bandwidth:.6g} rad/px reaches the carrier "
+            f"magnitude {carrier.magnitude:.6g} rad/px: the carrier does not exceed "
+            "the wavefront slope, so the signal and conjugate lobes overlap"
+        )
+    if apply_filter and 2.0 * carrier.magnitude - bandwidth <= mask.cutoff:
+        raise p.RefusalError("conjugate lobe reaches the mask cutoff")
+    return bandwidth
+
+
 def reference_out_of_band(temporal, carrier, mask, apply_filter):
-    _mask_for(carrier, mask)
     centered = p.remove_carrier(temporal, carrier)
     spectrum = np.fft.fft2(centered.values)
     rho = _full_grid_radii(spectrum.shape)
-    in_band = rho <= carrier.magnitude
-    bandwidth = _guard_band(spectrum[in_band], spectrum.shape, carrier, mask, apply_filter)
+    bandwidth = reference_guard(spectrum, rho, carrier, mask, apply_filter)
 
     magnitude = np.abs(spectrum)
     total_energy = float(np.sum(magnitude**2))
@@ -54,13 +85,12 @@ def reference_out_of_band(temporal, carrier, mask, apply_filter):
 def reference_chain(temporal, carrier, mask, apply_filter):
     """In-band bins, bandwidth, out-of-band energy and field of the full-grid
     chain: one ``fft2``, boolean masks over the whole grid, one ``ifft2``."""
-    _mask_for(carrier, mask)
     centered = p.remove_carrier(temporal, carrier)
     spectrum = np.fft.fft2(centered.values)
     rho = _full_grid_radii(spectrum.shape)
     in_band = rho <= carrier.magnitude
     band = spectrum[in_band]
-    bandwidth = _guard_band(band, spectrum.shape, carrier, mask, apply_filter)
+    bandwidth = reference_guard(spectrum, rho, carrier, mask, apply_filter)
     radii = rho[in_band]
     admitted = band[(radii <= mask.cutoff) & (radii > bandwidth)]
     total_energy = temporal.values.size * np.vdot(temporal.values, temporal.values).real
@@ -154,7 +184,7 @@ def _chain(temporal, carrier, mask, apply_filter):
         _, field, diag = spatial_from_temporal(temporal, carrier=carrier, mask=mask,
                                                apply_filter=apply_filter)
         band, _ = _spectral_chain(temporal.values, carrier, apply_filter)
-        bandwidth = _guard_band(band, temporal.shape, carrier, mask, apply_filter)
+        bandwidth = _guard_band(band, temporal.shape, carrier)
     assert diag.signal_bandwidth == bandwidth
     return band, bandwidth, diag.out_of_band_energy, field.values
 
