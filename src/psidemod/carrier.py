@@ -64,10 +64,11 @@ def _forward(values: np.ndarray, radius: float, out=None) -> np.ndarray:
     """Transform every row of ``values`` into ``out`` (``values`` itself to
     work in place), then only the columns that hold bins of the ``radius``
     disc.  Those bins equal ``fft2``'s; the other columns stay row spectra."""
-    spectrum = np.fft.fft(values, axis=1, out=out)
-    _, cols, _, _ = _disc(spectrum.shape, radius)
-    block = spectrum[:, cols]
-    spectrum[:, cols] = np.fft.fft(block, axis=0, out=block)
+    _, cols, _, _ = _disc(values.shape, radius)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.fft.fft(values, axis=1, out=out)
+        block = spectrum[:, cols]
+        spectrum[:, cols] = np.fft.fft(block, axis=0, out=block)
     return spectrum
 
 
@@ -87,8 +88,9 @@ def _keep_disc(spectrum: np.ndarray, cutoff: float) -> np.ndarray:
     kept = np.zeros((rows.size, spectrum.shape[1]), dtype=np.complex128)
     kept[:, cols] = np.where(inside, spectrum[np.ix_(rows, cols)], 0.0)
     spectrum.fill(0.0)
-    spectrum[rows] = np.fft.ifft(kept, axis=1, out=kept)
-    return np.fft.ifft(spectrum, axis=0, out=spectrum)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum[rows] = np.fft.ifft(kept, axis=1, out=kept)
+        return np.fft.ifft(spectrum, axis=0, out=spectrum)
 
 
 @dataclass(frozen=True)
@@ -145,8 +147,9 @@ def _centered(values: np.ndarray, carrier: CarrierSpec) -> np.ndarray:
     """``values`` times e^{-i(u0 x + v0 y)} in a fresh writable array; the
     factor is separable, so only two 1-D exponentials are evaluated."""
     height, width = values.shape
-    centered = values * np.exp(-1j * carrier.u0 * np.arange(width, dtype=np.float64))
-    centered *= np.exp(-1j * carrier.v0 * np.arange(height, dtype=np.float64))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = values * np.exp(-1j * carrier.u0 * np.arange(width, dtype=np.float64))
+        centered *= np.exp(-1j * carrier.v0 * np.arange(height, dtype=np.float64))[:, None]
     return centered
 
 
@@ -173,11 +176,12 @@ def estimate_carrier(field: ComplexField) -> CarrierSpec:
     introduced when recording, and when the refined lobe reaches the Nyquist
     radius pi, where +pi and -pi alias.  Degenerate when a second lobe
     outside the winner's neighborhood comes within 1% of its magnitude
-    (ambiguous carrier, e.g. a near-real field with mirrored lobes).
+    (ambiguous carrier, e.g. a near-real field with mirrored lobes), and
+    when the spectrum of the finite field overflows.
     """
     height, width = field.shape
-    spectrum = np.fft.fft2(field.values)
-    magnitude = np.abs(spectrum)
+    with np.errstate(over="ignore", invalid="ignore"):
+        magnitude = np.abs(np.fft.fft2(field.values))
 
     bins_y = np.fft.fftfreq(height) * height
     bins_x = np.fft.fftfreq(width) * width
@@ -186,6 +190,8 @@ def estimate_carrier(field: ComplexField) -> CarrierSpec:
     outside = np.where(excluded, 0.0, magnitude)
     peak_out = float(outside.max())
     peak_in = float(np.where(excluded, magnitude, 0.0).max())
+    if not (math.isfinite(peak_out) and math.isfinite(peak_in)):
+        raise _overflowed("field spectrum", field.shape)
     if peak_out <= peak_in:
         raise RefusalError(
             "no off-axis carrier lobe: the spectrum is dominated by the excluded "
@@ -206,6 +212,9 @@ def estimate_carrier(field: ComplexField) -> CarrierSpec:
         )
 
     def refine(minus, center, plus):
+        # near the float limit, halving keeps the vertex and 2 * center finite
+        if center > np.finfo(np.float64).max / 2:
+            minus, center, plus = minus / 2, center / 2, plus / 2
         denom = minus - 2.0 * center + plus
         return 0.0 if denom == 0.0 else 0.5 * (minus - plus) / denom
 
@@ -244,7 +253,7 @@ def _spectral_chain(values: np.ndarray, carrier: CarrierSpec, apply_filter=True)
     columns of the carrier disc (in that buffer only when ``apply_filter``;
     otherwise it keeps the carrier-removed field), and return the bins inside
     that disc and the buffer.  Callers guard the bins (:func:`_guard_band`)
-    before the inverse :func:`_keep_disc`, both under one overflow ``errstate``."""
+    before the inverse :func:`_keep_disc`; each step holds its own overflow scope."""
     buffer = _centered(values, carrier)
     spectrum = _forward(buffer, carrier.magnitude, out=buffer if apply_filter else None)
     rows, cols, inside, _ = _disc(spectrum.shape, carrier.magnitude)
@@ -355,12 +364,10 @@ def spatial_from_temporal(
         carrier, source = estimate_carrier(temporal), "estimated"
 
     mask = _mask_for(carrier, mask)
-    # overflowed bins are refused by the guard or by the filtered field; the
-    # guard runs before the inverse, which would warn on a DC-only cutoff
-    with np.errstate(over="ignore", invalid="ignore"):
-        band, buffer = _spectral_chain(temporal.values, carrier, apply_filter)
-        bandwidth = _guard_band(band, temporal.shape, carrier)
-        filtered = ComplexField(_Owned(_keep_disc(buffer, mask.cutoff) if apply_filter else buffer))
+    # guarded before the inverse, which would warn on a DC-only cutoff
+    band, buffer = _spectral_chain(temporal.values, carrier, apply_filter)
+    bandwidth = _guard_band(band, temporal.shape, carrier)
+    filtered = ComplexField(_Owned(_keep_disc(buffer, mask.cutoff) if apply_filter else buffer))
     # the guarded cutoff disc lies inside the carrier disc, and carrier removal
     # keeps the modulus, so the total spectral energy is N * sum |temporal|^2
     radii = _disc(temporal.shape, carrier.magnitude)[3]

@@ -17,13 +17,14 @@ with extreme magnitude arcsin(r) about the piston arg A1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegeneracyError, RefusalError
-from .fields import TWO_PI, ComplexField, ErrorSchedule, PhaseMap, wrap
+from .fields import TWO_PI, ComplexField, ErrorSchedule, PhaseMap, _overflowed, wrap
 from .psa import PsaSpec
 
 # measure_leak refuses a fit whose Gram condition number exceeds this
@@ -120,7 +121,7 @@ def measure_leak(field: ComplexField, truth: PhaseMap) -> ConjugatePair:
     returns the fitted (alpha, beta) as the pair (A1, A2).  The two basis
     fields become collinear as the truth flattens; the fit is refused when
     the Gram condition number exceeds 1e6 (a truth spanning well under half
-    a fringe).
+    a fringe).  Sums or a fit that overflow raise ``DegeneracyError``.
     """
     if field.shape != truth.shape:
         raise ValueError(f"field shape {field.shape} does not match truth shape {truth.shape}")
@@ -138,9 +139,13 @@ def measure_leak(field: ComplexField, truth: PhaseMap) -> ConjugatePair:
             "several tenths of a fringe are needed to separate the two terms"
         )
     u = np.exp(1j * phi)
-    rhs1 = complex(np.vdot(u, s))
-    rhs2 = complex(np.sum(u * s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs1 = complex(np.vdot(u, s))
+        rhs2 = complex(np.sum(u * s))
     det = n_pix * n_pix - (gram * gram.conjugate()).real
+    # a non-finite right-hand side leaves alpha or beta non-finite too
     alpha = (n_pix * rhs1 - gram * rhs2) / det
     beta = (n_pix * rhs2 - gram.conjugate() * rhs1) / det
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise _overflowed("leak fit", field.shape)
     return ConjugatePair(alpha, beta)

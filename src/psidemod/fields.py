@@ -30,18 +30,23 @@ def wrap(values):
     """Wrap phase values (radians) to the interval [-pi, pi).
 
     Always returns a new ndarray (0-d for scalar input); the input is only read.
+    Refuses a NaN or infinite entry with ``ValueError``, read off the same
+    min and max that pick the path for large entries.
     """
     v = np.asarray(values, dtype=np.float64)
+    low, high = (float(v.min()), float(v.max())) if v.size else (0.0, 0.0)
+    if not (np.isfinite(low) and np.isfinite(high)):
+        raise ValueError(f"phase values of shape {v.shape} contain non-finite values")
     w = np.add(v, np.pi, out=np.empty(v.shape))
     w /= TWO_PI
     np.floor(w, out=w)
     w *= TWO_PI
     np.subtract(v, w, out=w)
     fold(w)
-    # finite entries from _FAR on take the angle of e^{iv}, whose sin and cos
+    # entries from _FAR on take the angle of e^{iv}, whose sin and cos
     # reduce v accurately at any magnitude
-    if v.size and not (-_FAR < v.min() and v.max() < _FAR):
-        far = np.isfinite(v) & (np.abs(v) >= _FAR)
+    if not (-_FAR < low and high < _FAR):
+        far = np.abs(v) >= _FAR
         w[far] = fold(np.arctan2(np.sin(v[far]), np.cos(v[far])))
     return w
 

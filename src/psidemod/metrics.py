@@ -14,7 +14,6 @@ from .fields import (
     CarrierSpec,
     PhaseMap,
     _freeze,
-    _overflowed,
     _Owned,
     _synthesis_scalars,
     _synthesis_trig,
@@ -54,9 +53,11 @@ def wrapped_diff(first: PhaseMap, second: PhaseMap) -> PhaseMap:
     """Pointwise wrapped difference first - second in [-pi, pi)."""
     if first.shape != second.shape:
         raise ValueError(f"phase maps differ in shape: {first.shape} vs {second.shape}")
-    diff = first.values - second.values
-    # two wrapped maps differ by less than one period beyond [-pi, pi)
-    diff = fold(diff) if first.wrapped and second.wrapped else wrap(diff)
+    with np.errstate(over="ignore"):
+        diff = first.values - second.values
+    # two wrapped maps differ by less than one period beyond [-pi, pi); other
+    # maps can differ past the float range, which an owned map refuses first
+    diff = fold(diff) if first.wrapped and second.wrapped else wrap(PhaseMap(_Owned(diff)).values)
     return PhaseMap(_Owned(diff), wrapped=True)
 
 
@@ -156,10 +157,7 @@ def _phasor_report(z, reference, crop):
     difference and z/|z| its cos and sin, with trig only if a pixel is invalid."""
     rows, cols = _interior(z.shape, crop)
     modulus = np.abs(z)
-    peak = float(modulus.max())
-    if not np.isfinite(peak):
-        raise _overflowed("complex field", z.shape)
-    valid = _valid(modulus, peak)[rows, cols]
+    valid = _valid(modulus)[rows, cols]
     z, modulus = z[rows, cols], modulus[rows, cols]
     diff = np.angle(z)
     diff[diff == np.pi] = -np.pi
@@ -257,9 +255,8 @@ class _TrialBasis:
         """In-band spectrum bins (none for temporal) and demodulated field;
         of the mask only the cutoff is read."""
         if self.method == "spatial":
-            with np.errstate(over="ignore", invalid="ignore"):
-                band, spectrum = _spectral_chain(field, self.carrier)
-                return band, _keep_disc(spectrum, self.mask.cutoff)
+            band, spectrum = _spectral_chain(field, self.carrier)
+            return band, _keep_disc(spectrum, self.mask.cutoff)
         return np.zeros(0, dtype=np.complex128), field
 
     def trial(self, pair, noise_sigma, noise_seed):

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RefusalError
-from .fields import TWO_PI, ComplexField, InterferogramStack, PhaseMap, _nominal_step, _Owned, wrap
+from .fields import (TWO_PI, ComplexField, InterferogramStack, PhaseMap, _nominal_step,
+                     _overflowed, _Owned, wrap)
 
 # a coefficient vector counts as real when its imaginary part is at this
 # relative level; as background-rejecting when |H(0)| is
@@ -190,8 +191,11 @@ def _contract(frames: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return values
 
 
-def _valid(modulus, peak):
-    """Pixels whose modulus reaches ``_MIN_MODULUS_RATIO`` of the peak (none when it is 0)."""
+def _valid(modulus):
+    """Pixels at ``_MIN_MODULUS_RATIO`` of the peak or more (none at peak 0); refuses an overflow."""
+    peak = float(modulus.max())
+    if not np.isfinite(peak):
+        raise _overflowed("complex field", modulus.shape)
     return modulus >= _MIN_MODULUS_RATIO * peak if peak > 0.0 else np.zeros(modulus.shape, bool)
 
 
@@ -200,7 +204,7 @@ def field_phase(field: ComplexField):
 
     Pixels whose modulus falls below 1e-9 times the peak modulus have
     meaningless phase; they are set to 0 and flagged False in the returned
-    validity mask.
+    validity mask.  A modulus that overflows raises ``DegeneracyError``.
 
     Returns
     -------
@@ -208,7 +212,7 @@ def field_phase(field: ComplexField):
         Wrapped phase in [-pi, pi) and the per-pixel validity mask.
     """
     modulus = np.abs(field.values)
-    valid = _valid(modulus, float(modulus.max()))
+    valid = _valid(modulus)
     del modulus  # released before the phase array is allocated
     # np.angle lies in [-pi, pi]; only +pi needs mapping into [-pi, pi)
     phase = np.angle(field.values)
