@@ -10,11 +10,11 @@ any residual background) without ever estimating the step errors that
 created them.  Spectral coordinates are radians per pixel: FFT bin k of an
 L-pixel axis sits at 2 pi k / L, negative frequencies in the upper half.
 
-Spatial demodulation and the Monte-Carlo superposition share that chain,
-:func:`_spectral_chain`, and take every disc from one cache, :func:`_disc`.
-Both it and :func:`lowpass` transform only the columns of the disc they read
-and invert only the rows of the cutoff disc, in ``fft2``/``ifft2``'s own axis
-order, so every bin and field is bit-identical to the full-grid transforms.
+Every transform in the package is :func:`_forward` or :func:`_keep_disc`, in
+``fft2``/``ifft2``'s axis order, so every bin is bit-identical to theirs.  The
+carrier search and the spectrum export take the full grid.  Spatial demodulation
+and the Monte-Carlo superposition share :func:`_spectral_chain`, which, like
+:func:`lowpass`, transforms only the columns of a disc from :func:`_disc`'s cache.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DegeneracyError, RefusalError
-from .fields import TWO_PI, CarrierSpec, ComplexField, InterferogramStack, _overflowed, _Owned
+from .fields import TWO_PI, CarrierSpec, ComplexField, InterferogramStack, _Owned, _peak
 from .psa import PsaSpec, demodulate_temporal, field_phase
 
 # spectral magnitude at this fraction of the signal peak still counts as
@@ -60,11 +60,12 @@ def _disc(shape, radius):
     return rows, cols, inside, radii
 
 
-def _forward(values: np.ndarray, radius: float, out=None) -> np.ndarray:
+def _forward(values: np.ndarray, radius: float | None, out=None) -> np.ndarray:
     """Transform every row of ``values`` into ``out`` (``values`` itself to
     work in place), then only the columns that hold bins of the ``radius``
-    disc.  Those bins equal ``fft2``'s; the other columns stay row spectra."""
-    _, cols, _, _ = _disc(values.shape, radius)
+    disc.  Those bins equal ``fft2``'s; the other columns stay row spectra.
+    With ``radius`` None every column is transformed: ``fft2`` bit for bit."""
+    cols = slice(None) if radius is None else _disc(values.shape, radius)[1]
     with np.errstate(over="ignore", invalid="ignore"):
         spectrum = np.fft.fft(values, axis=1, out=out)
         block = spectrum[:, cols]
@@ -180,8 +181,8 @@ def estimate_carrier(field: ComplexField) -> CarrierSpec:
     when the spectrum of the finite field overflows.
     """
     height, width = field.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        magnitude = np.abs(np.fft.fft2(field.values))
+    magnitude = np.abs(_forward(field.values, None))
+    _peak(magnitude, "field spectrum", field.shape)
 
     bins_y = np.fft.fftfreq(height) * height
     bins_x = np.fft.fftfreq(width) * width
@@ -190,8 +191,6 @@ def estimate_carrier(field: ComplexField) -> CarrierSpec:
     outside = np.where(excluded, 0.0, magnitude)
     peak_out = float(outside.max())
     peak_in = float(np.where(excluded, magnitude, 0.0).max())
-    if not (math.isfinite(peak_out) and math.isfinite(peak_in)):
-        raise _overflowed("field spectrum", field.shape)
     if peak_out <= peak_in:
         raise RefusalError(
             "no off-axis carrier lobe: the spectrum is dominated by the excluded "
@@ -264,9 +263,7 @@ def _guard_band(in_band: np.ndarray, shape, carrier: CarrierSpec) -> float:
     """The data refusals of :func:`spatial_from_temporal` on the carrier-removed
     bins inside the carrier disc; returns the occupied signal bandwidth B in rad/px."""
     magnitude = np.abs(in_band)
-    peak = float(magnitude.max())
-    if not np.isfinite(peak):
-        raise _overflowed("carrier-removed spectrum", shape)
+    peak = _peak(magnitude, "carrier-removed spectrum", shape)
     if peak == 0.0:
         raise DegeneracyError("demodulated field has an empty spectrum")
     radii = _disc(shape, carrier.magnitude)[3]

@@ -110,8 +110,9 @@ def predicted_error_map(truth: PhaseMap, pair: ConjugatePair) -> PhaseMap:
             "no longer describes a perturbation of the true phase"
         )
     phi = truth.values
-    z = pair.a1 * np.exp(1j * phi) + pair.a2 * np.exp(-1j * phi)
-    return PhaseMap(wrap(phi - np.angle(z)), wrapped=True)
+    # A1 factored out: |A2/A1| < 1 keeps z finite, and A1 = 1 leaves every bit
+    z = np.exp(1j * phi) + (pair.a2 / pair.a1) * np.exp(-1j * phi)
+    return PhaseMap(wrap(phi - np.angle(z) - cmath.phase(pair.a1)), wrapped=True)
 
 
 def measure_leak(field: ComplexField, truth: PhaseMap) -> ConjugatePair:

@@ -101,6 +101,14 @@ def _overflowed(what, shape) -> DegeneracyError:
     )
 
 
+def _peak(modulus, what, shape) -> float:
+    """max(``modulus``) of ``what`` computed from finite input; refuses an overflow."""
+    peak = float(modulus.max())
+    if not np.isfinite(peak):
+        raise _overflowed(what, shape)
+    return peak
+
+
 def _nominal_step(value) -> float:
     step = float(value)
     if not np.isfinite(step) or step == 0.0:
@@ -300,20 +308,26 @@ def synthesize_wavefront(kind, amplitude, shape, coefficients=None) -> PhaseMap:
             raise ValueError("polynomial coefficients must be finite")
         x_hat = (x - cx) / cx
         y_hat = (y - cy) / cy
-        raw = np.polynomial.polynomial.polyval2d(
-            np.broadcast_to(x_hat[None, :], (height, width)),
-            np.broadcast_to(y_hat[:, None], (height, width)),
-            coeffs,
-        )
+        # an overflowed profile is refused by the owned check or the span's
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = np.polynomial.polynomial.polyval2d(
+                np.broadcast_to(x_hat[None, :], (height, width)),
+                np.broadcast_to(y_hat[:, None], (height, width)),
+                coeffs,
+            )
         if amplitude is None:
-            return PhaseMap(raw)
+            return PhaseMap(_Owned(raw))
 
-    span = float(raw.max() - raw.min())
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = float(raw.max() - raw.min())
+    if not np.isfinite(span):
+        raise _overflowed(f"{kind} profile", (height, width))
     if span == 0.0:
         if amplitude == 0.0:
             return PhaseMap(np.zeros((height, width)))
         raise ValueError(f"{kind} profile is constant on this grid, cannot scale to P-V {amplitude}")
-    return PhaseMap(raw * (amplitude / span))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return PhaseMap(_Owned(raw * (amplitude / span)))
 
 
 def make_error_schedule(kind, n_frames, magnitude=0.0, nominal_step=None, seed=None) -> ErrorSchedule:

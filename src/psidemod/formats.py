@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .carrier import _forward
 from .fields import (
     CarrierSpec,
     ComplexField,
@@ -21,6 +22,7 @@ from .fields import (
     InterferogramStack,
     PhaseMap,
     StackMetadata,
+    _peak,
 )
 
 
@@ -39,8 +41,19 @@ def load_json(path) -> dict:
 
 
 def write_f32(path, values) -> Path:
+    return _write_raw(path, values, "<f4")
+
+
+def _write_raw(path, values, dtype: str) -> Path:
+    """Write ``values`` to ``path`` as raw ``dtype``; a value the dtype cannot
+    hold, read off the cast itself, raises ``ValueError`` and writes nothing."""
     path = Path(path)
-    np.asarray(values, dtype="<f4").tofile(path)
+    try:
+        with np.errstate(over="raise"):
+            raw = np.asarray(values, dtype=dtype)
+    except FloatingPointError:
+        raise ValueError(f"{path.name}: a value overflows {np.dtype(dtype).name}") from None
+    raw.tofile(path)
     return path
 
 
@@ -65,8 +78,7 @@ def _save_grid(stem, kind: str, values, dtype: str, **extra) -> list[Path]:
     """Write ``values`` as a raw ``dtype`` grid and the ``stem.json`` sidecar
     that records its kind, shape and ``extra``; returns [raw, sidecar]."""
     stem = Path(stem)
-    raw = stem.with_suffix(_SUFFIX[dtype])
-    np.asarray(values, dtype=dtype).tofile(raw)
+    raw = _write_raw(stem.with_suffix(_SUFFIX[dtype]), values, dtype)
     height, width = np.shape(values)
     payload = {"kind": kind, "width": width, "height": height, **extra}
     return [raw, dump_json(stem.with_suffix(".json"), payload)]
@@ -239,12 +251,12 @@ def export_spectrum(stem, field: ComplexField) -> list[Path]:
     """Write the centered log10-magnitude spectrum of a field.
 
     Produces ``stem.f32`` (float32 log magnitude, DC at the grid center),
-    ``stem.json`` and an 8-bit ``stem.pgm`` normalized for display.
+    ``stem.json`` and an 8-bit ``stem.pgm`` normalized for display.  An
+    overflowing spectrum raises ``DegeneracyError`` and writes nothing.
     """
     stem = Path(stem)
-    spectrum = np.fft.fftshift(np.fft.fft2(field.values))
-    magnitude = np.abs(spectrum)
-    peak = float(magnitude.max())
+    magnitude = np.fft.fftshift(np.abs(_forward(field.values, None)))
+    peak = _peak(magnitude, "field spectrum", field.shape)
     if peak == 0.0:
         log_magnitude = np.zeros(field.shape)
     else:

@@ -14,6 +14,7 @@ from .fields import (
     CarrierSpec,
     PhaseMap,
     _freeze,
+    _overflowed,
     _Owned,
     _synthesis_scalars,
     _synthesis_trig,
@@ -177,9 +178,14 @@ def _pv_rms(interior):
 
 
 def pv_rms(phase_map: PhaseMap, crop: int = 0):
-    """Peak-to-valley and RMS of a phase map in waves, over the cropped interior."""
+    """Peak-to-valley and RMS of a phase map in waves, over the cropped
+    interior; a map whose span or squares overflow raises ``DegeneracyError``."""
     rows, cols = _interior(phase_map.shape, crop)
-    return _pv_rms(phase_map.values[rows, cols])
+    with np.errstate(over="ignore", invalid="ignore"):
+        pv, rms = _pv_rms(phase_map.values[rows, cols])
+    if not (np.isfinite(pv) and np.isfinite(rms)):
+        raise _overflowed("phase map statistics", phase_map.shape)
+    return pv, rms
 
 
 def _reference(truth: PhaseMap, method, carrier: CarrierSpec | None):

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RefusalError
-from .fields import (TWO_PI, ComplexField, InterferogramStack, PhaseMap, _nominal_step,
-                     _overflowed, _Owned, wrap)
+from .fields import (TWO_PI, ComplexField, InterferogramStack, PhaseMap, _nominal_step, _Owned,
+                     _peak, wrap)
 
 # a coefficient vector counts as real when its imaginary part is at this
 # relative level; as background-rejecting when |H(0)| is
@@ -193,9 +193,7 @@ def _contract(frames: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 def _valid(modulus):
     """Pixels at ``_MIN_MODULUS_RATIO`` of the peak or more (none at peak 0); refuses an overflow."""
-    peak = float(modulus.max())
-    if not np.isfinite(peak):
-        raise _overflowed("complex field", modulus.shape)
+    peak = _peak(modulus, "complex field", modulus.shape)
     return modulus >= _MIN_MODULUS_RATIO * peak if peak > 0.0 else np.zeros(modulus.shape, bool)
 
 

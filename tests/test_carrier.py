@@ -14,6 +14,8 @@ from psidemod.errors import DegeneracyError, RefusalError
 
 from conftest import FIXED_SCHEDULE, make_bandlimited
 
+TWO_PI = 2 * np.pi
+
 
 def tone_field(shape, u0, v0=0.0):
     y, x = np.indices(shape, dtype=np.float64)
@@ -190,6 +192,32 @@ def test_estimate_carrier_ambiguous_on_real_cosine():
     field = p.ComplexField(np.cos(np.pi / 4 * x).astype(complex))
     with pytest.raises(DegeneracyError, match="ambiguous"):
         p.estimate_carrier(field)
+
+
+# the thresholds of estimate_carrier's refusals, met exactly: on an 8x8 grid
+# the FFT of integer and signed-constant fields is exact, so equal lobes are equal
+
+
+def test_estimate_carrier_refuses_lobes_of_equal_height_inside_and_outside():
+    # DC (inside the excluded disc) and the x Nyquist bin (outside) are both 64
+    _, x = np.indices((8, 8))
+    with pytest.raises(RefusalError, match=r"\(peak inside 64 vs outside 64\)"):
+        p.estimate_carrier(p.ComplexField(1.0 + (-1.0) ** x))
+
+
+def test_estimate_carrier_ambiguity_threshold_is_inclusive():
+    # a rival lobe at exactly 0.99 of the winner: 0.99 * 64 on both sides
+    y, x = np.indices((8, 8))
+    with pytest.raises(DegeneracyError, match="ambiguous carrier"):
+        p.estimate_carrier(p.ComplexField((-1.0) ** x + 0.99 * (-1.0) ** y))
+
+
+def test_estimate_carrier_keeps_a_lobe_five_percent_above_its_rival():
+    y, x = np.indices((64, 64), dtype=np.float64)
+    field = p.ComplexField(np.exp(1j * (0.8 * x + 0.3 * y))
+                           + 0.95 * np.exp(1j * (-0.5 * x + 0.6 * y)))
+    carrier = p.estimate_carrier(field)
+    assert abs(carrier.u0 - 0.8) < TWO_PI / 64 and abs(carrier.v0 - 0.3) < TWO_PI / 64
 
 
 # --- spatial demodulation ---
@@ -371,6 +399,19 @@ def test_spatial_refuses_when_signal_band_reaches_carrier(sh5):
     stack = p.InterferogramStack(frames, np.pi / 2)
     with pytest.raises(RefusalError, match="bandwidth"):
         p.demodulate_spatial(stack, p.sh5_spec(), carrier=carrier)
+
+
+def test_bandwidth_refusal_is_inclusive_at_the_margin():
+    # a tone on the bin of radius r, with a carrier of r / 0.95 that gives
+    # 0.95 |c| == r exactly: the band reaches the margin, which refuses
+    width = 64
+    radius = TWO_PI * np.fft.fftfreq(width)[3]
+    carrier = p.CarrierSpec(radius / 0.95)
+    assert 0.95 * carrier.magnitude == radius
+    _, x = np.indices((width, width), dtype=np.float64)
+    field = p.ComplexField(np.exp(1j * carrier.u0 * x) * (1 + 0.5 * np.exp(1j * radius * x)))
+    with pytest.raises(RefusalError, match=f"bandwidth {radius:.6g} rad/px reaches the carrier"):
+        spatial_from_temporal(field, carrier)
 
 
 def test_spatial_refuses_an_empty_spectrum():

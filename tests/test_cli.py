@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -394,6 +395,32 @@ def test_data_refusals_leave_out_as_found(tmp_path, args, message, before):
     assert message in err
     # every file keeps its bytes, and no directory is made or left, staging included
     assert tree() == found
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        # the temporal field is finite, and its spectrum, exported first, overflows
+        (("demod", "--preset", "fig8", "--width", 64, "--height", 64, "--line-cut-row", 32,
+          "--background", 1e306, "--contrast", 1e306),
+         3, "field spectrum of shape (64, 64) computed from finite input overflowed"),
+        # without the export, the frames are the first grid float32 cannot hold
+        (("demod", "--preset", "fig8", "--width", 64, "--height", 64, "--line-cut-row", 32,
+          "--background", 1e306, "--contrast", 1e306, "--no-export-spectrum"),
+         2, "stack_000.f32: a value overflows float32"),
+        (("simulate", "--width", 16, "--height", 16, "--amplitude", 1e40),
+         2, "truth.f32: a value overflows float32"),
+    ],
+    ids=["fig8-spectrum", "fig8-frames", "simulate-truth"],
+)
+def test_overflowing_runs_leave_out_as_found(tmp_path, args, code, message):
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _, err = run_cli(*args, "--out", out)
+    assert got == code
+    assert message in err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("step", ["nan", "inf"])

@@ -111,7 +111,7 @@ def test_error_map_extreme_is_arcsin_r():
     error = p.predicted_error_map(truth, p.ConjugatePair(1.0, 0.1))
     assert abs(np.abs(error.values).max() - np.arcsin(0.1)) < 1e-6
     # bound holds for stronger leaks too
-    for r in (0.3, 0.7):
+    for r in (0.3, 0.7, 0.97):
         emap = p.predicted_error_map(truth, p.ConjugatePair(1.0, r))
         assert np.abs(emap.values).max() <= np.arcsin(r) + 1e-12
 

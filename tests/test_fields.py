@@ -126,11 +126,11 @@ def test_synthesize_astigmatism_and_polynomial():
 
 
 def test_synthesize_rejects_bad_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown wavefront kind 'vortex'"):
         p.synthesize_wavefront("vortex", 1.0, (64, 64))
     with pytest.raises(ValueError):
         p.synthesize_wavefront("defocus", np.inf, (64, 64))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="polynomial wavefront requires a coefficient table"):
         p.synthesize_wavefront("polynomial", 1.0, (64, 64))
     with pytest.raises(ValueError, match="at least 2x2, got 1x5"):
         p.synthesize_wavefront("defocus", 1.0, (1, 5))

@@ -25,7 +25,9 @@ from hypothesis import strategies as st
 
 import psidemod as p
 from psidemod import metrics
-from psidemod.carrier import _disc, _guard_band, _spectral_chain, spatial_from_temporal
+from psidemod.carrier import (_disc, _forward, _guard_band, _spectral_chain,
+                              spatial_from_temporal)
+from psidemod.formats import export_spectrum
 
 TOL = 1e-12
 TWO_PI = 2 * np.pi
@@ -248,6 +250,19 @@ def test_lowpass_is_bit_identical_to_fft2_mask_ifft2(height, width, cutoff, seed
     assert np.array_equal(got, reference_lowpass(field, mask))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    height=st.integers(2, 33),
+    width=st.integers(2, 33),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_full_grid_forward_is_bit_identical_to_fft2(height, width, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(height, width)) + 1j * rng.normal(size=(height, width))
+    values.setflags(write=False)  # as a field's values, which stay unchanged
+    assert np.array_equal(_forward(values, None), np.fft.fft2(values))
+
+
 def _count_lines(monkeypatch):
     """Count the 1-D lines that ``np.fft.fft`` and ``np.fft.ifft`` transform;
     the full-grid transforms must not run at all."""
@@ -300,6 +315,16 @@ def test_spatial_montecarlo_transforms_each_basis_field_once(sh5, monkeypatch, t
     assert summary.trials == trials
     once = _band_lines((48, 40), carrier, carrier.magnitude / 2)
     assert lines == {name: 3 * count for name, count in once.items()}
+
+
+def test_carrier_search_and_spectrum_export_transform_the_full_grid_once(tmp_path, monkeypatch):
+    y, x = np.indices((24, 40), dtype=np.float64)
+    field = p.ComplexField(np.exp(1j * (0.8 * x + 0.3 * y)))
+    lines = _count_lines(monkeypatch)
+    p.estimate_carrier(field)
+    assert lines == {"fft": 24 + 40, "ifft": 0}
+    export_spectrum(tmp_path / "spectrum", field)
+    assert lines == {"fft": 2 * (24 + 40), "ifft": 0}
 
 
 def test_spatial_montecarlo_on_the_cached_basis_transforms_nothing(sh5, monkeypatch):

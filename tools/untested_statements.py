@@ -6,11 +6,13 @@ Usage, from the repository root:
 
 It runs the tier-1 suite in this process (``pytest --hypothesis-seed 0``,
 so two runs draw the same examples) under a ``sys.settrace`` line tracer,
-then prints every statement, as ``path:line: source``, whose lines the suite
-never reached.  The suite's own report goes to stderr, so stdout holds only
-the list.  Statements come from ``ast``; docstrings, bare annotations,
-``global`` statements and the ``if __name__ == "__main__":`` block are
-skipped, since none of them is a step of the program a test could reach.
+which also records the tests that reach each line (``tools/refusal_mutants.py``
+reuses it), then prints every statement, as ``path:line: source``, whose
+lines the suite never reached.  The suite's own report goes to stderr, so
+stdout holds only the list.  Statements come from ``ast``; docstrings, bare
+annotations, ``global`` statements and the ``if __name__ == "__main__":``
+block are skipped, since none of them is a step of the program a test could
+reach.
 A compound statement (``if``, ``for``, ``def``, ...) counts as run when its
 header runs; its body's statements are listed on their own.
 
@@ -76,20 +78,42 @@ def statements(tree: ast.Module):
     return found
 
 
-def run_tier1() -> dict[str, set[int]]:
-    """Lines of each package file that the tier-1 suite executed."""
-    targets = {str(path): set() for path in PACKAGE.glob("*.py")}
+class _CurrentTest:
+    """Pytest plugin that knows which test is running, and which failed."""
+
+    def __init__(self):
+        self.nodeid = ""  # "" while no test runs: collection, imports
+        self.failed: set[str] = set()
+
+    @pytest.hookimpl(hookwrapper=True)
+    def pytest_runtest_protocol(self, item, nextitem):
+        self.nodeid = item.nodeid
+        yield
+        self.nodeid = ""
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            self.failed.add(report.nodeid)
+
+
+def trace_tier1() -> tuple[dict[str, dict[int, set[str]]], set[str]]:
+    """Run the tier-1 suite under a line tracer.  Returns, for each package
+    file, the lines it executed, each with the ids of the tests that reached
+    it ("" for lines run outside any test), and the ids of the tests that
+    failed."""
+    targets = {str(path): {} for path in PACKAGE.glob("*.py")}
+    current = _CurrentTest()
 
     def local(frame, event, arg):
         if event == "line":
-            targets[frame.f_code.co_filename].add(frame.f_lineno)
+            targets[frame.f_code.co_filename].setdefault(frame.f_lineno, set()).add(current.nodeid)
         return local
 
     def tracer(frame, event, arg):
         lines = targets.get(frame.f_code.co_filename)
         if lines is None:
             return None
-        lines.add(frame.f_lineno)
+        lines.setdefault(frame.f_lineno, set()).add(current.nodeid)
         return local
 
     sys.path.insert(0, str(PACKAGE.parent))
@@ -97,20 +121,21 @@ def run_tier1() -> dict[str, set[int]]:
     try:
         with contextlib.redirect_stdout(sys.stderr):
             pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed", "0",
-                         "--continue-on-collection-errors", str(ROOT / "tests")])
+                         "--continue-on-collection-errors", str(ROOT / "tests")],
+                        plugins=[current])
     finally:
         sys.settrace(None)
-    return targets
+    return targets, current.failed
 
 
 def main() -> int:
-    executed = run_tier1()
+    executed, _ = trace_tier1()
     report = []
     for path in sorted(executed):
         source = Path(path).read_text()
         lines = source.splitlines()
         for first, header in statements(ast.parse(source, path)):
-            if executed[path].isdisjoint(header):
+            if executed[path].keys().isdisjoint(header):
                 relative = Path(path).relative_to(ROOT)
                 report.append(f"{relative}:{first}: {lines[first - 1].strip()}")
     print(f"{len(report)} statements of src/psidemod that no tier-1 test runs", file=sys.stderr)
