@@ -3,8 +3,8 @@ mutants that no tier-1 test kills.
 
 Usage, from the repository root:
 
-    python3 tools/refusal_mutants.py                        # every refusal
-    python3 tools/refusal_mutants.py --jobs 2 carrier.py:270  # some of them
+    python3 tools/refusal_mutants.py                    # every refusal
+    python3 tools/refusal_mutants.py carrier.py:270 psa.py  # some of them
 
 A refusal is an ``if <condition>:`` whose body ends in ``raise``.  Each one
 gets these mutants of its condition:
@@ -21,12 +21,13 @@ line.  Each mutant then runs, in a fresh copy of the package, only the tests
 that reach its ``if``: those that reach the ``raise`` first, then the rest,
 stopping at the first failure (``pytest -x``).  Tests that already fail on
 the unmutated code are left out.  A mutant is killed when a test fails or
-errors (a test module that no longer imports included) or the run times out,
-and survives when every test passes.
+errors (a test module that no longer imports included) or its run passes
+``_TIMEOUT_S``, and survives when every test passes.  Mutants run one per CPU
+that the process may use; ``taskset`` narrows that.
 
 It prints one line per survivor, ``path:line: condition -> mutant (n tests)``,
 and a count on stderr.  It only reports: the exit status is 0 whatever it
-finds.  One run over the whole package takes tens of minutes.
+finds.  One run over the whole package took about 8 minutes on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from untested_statements import PACKAGE, ROOT, _header_lines, trace_tier1  # noq
 
 _FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 _SCALES = (1.05, 0.95)
+_TIMEOUT_S = 600.0  # per mutant; far above any mutant's run so far
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ def mutants(path: Path):
                          original, mutated, _splice(source, node.test, f"({mutated})"))
 
 
-def _run(mutant: Mutant, tests: list[str], timeout: float) -> str:
+def _run(mutant: Mutant, tests: list[str]) -> str:
     """'killed', 'survived' or 'error: ...' for one mutant."""
     with tempfile.TemporaryDirectory() as scratch:
         package = Path(scratch) / PACKAGE.name
@@ -161,7 +163,7 @@ def _run(mutant: Mutant, tests: list[str], timeout: float) -> str:
         try:
             # the scratch directory as cwd keeps the hypothesis database out of the tree
             result = subprocess.run(command, cwd=scratch, env=env, capture_output=True,
-                                    timeout=timeout)
+                                    timeout=_TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return "killed"
     if result.returncode == 0:
@@ -186,8 +188,6 @@ def _selected(path: Path, line: int, only: list[str]) -> bool:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("only", nargs="*", help="file.py or file.py:line of the ``if`` to mutate")
-    parser.add_argument("--jobs", type=int, default=1, help="mutants run at once")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
     args = parser.parse_args()
 
     candidates = [mutant for path in sorted(PACKAGE.glob("*.py")) for mutant in mutants(path)
@@ -203,10 +203,10 @@ def main() -> int:
 
     def outcome(mutant: Mutant):
         tests = tests_for(mutant)
-        return mutant, tests, _run(mutant, tests, args.timeout) if tests else "survived"
+        return mutant, tests, _run(mutant, tests) if tests else "survived"
 
     counts: dict[str, int] = {}
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
         for mutant, tests, result in pool.map(outcome, candidates):
             kind = result.split(":")[0]
             counts[kind] = counts.get(kind, 0) + 1

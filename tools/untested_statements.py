@@ -25,6 +25,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -101,19 +102,19 @@ def trace_tier1() -> tuple[dict[str, dict[int, set[str]]], set[str]]:
     file, the lines it executed, each with the ids of the tests that reached
     it ("" for lines run outside any test), and the ids of the tests that
     failed."""
-    targets = {str(path): {} for path in PACKAGE.glob("*.py")}
+    targets = {str(path): defaultdict(set) for path in PACKAGE.glob("*.py")}
     current = _CurrentTest()
 
     def local(frame, event, arg):
         if event == "line":
-            targets[frame.f_code.co_filename].setdefault(frame.f_lineno, set()).add(current.nodeid)
+            targets[frame.f_code.co_filename][frame.f_lineno].add(current.nodeid)
         return local
 
     def tracer(frame, event, arg):
         lines = targets.get(frame.f_code.co_filename)
         if lines is None:
             return None
-        lines.setdefault(frame.f_lineno, set()).add(current.nodeid)
+        lines[frame.f_lineno].add(current.nodeid)
         return local
 
     sys.path.insert(0, str(PACKAGE.parent))
