@@ -85,7 +85,8 @@ def remove_piston_tilt(diff: PhaseMap, crop: int = 0, tilt: bool = True):
     the second piston, taken after the plane, is the separable sum
     ``e^{-i p1} sum_y e^{-i beta y} sum_x (cos + i sin) e^{-i alpha x}``
     of the same two arrays.  The plane comes from row and column sums, and
-    plane and second piston are subtracted before the one final wrap.
+    plane and second piston are subtracted.  The residual is wrapped only
+    when it leaves [-pi, pi), where wrap is the identity bit for bit.
 
     Refuses when the piston-removed interior still spans nearly the full
     cycle: the difference then contains genuine wraps and a piston/tilt
@@ -103,15 +104,15 @@ def remove_piston_tilt(diff: PhaseMap, crop: int = 0, tilt: bool = True):
     return PhaseMap(_Owned(residual), wrapped=True), report
 
 
-def _piston_tilt(values, wrapped, trig, interior, crop, tilt):
-    """:func:`remove_piston_tilt` from the first piston on, given ``trig``, the
-    list [cos, sin] of ``values`` over the (rows, cols) ``interior``, which it
-    empties so that the two free before the wrap; returns residual and report."""
+def _piston_tilt(values, wrapped, trig, interior, crop, tilt, out=None):
+    """:func:`remove_piston_tilt` from the first piston on, given ``trig``, the list
+    [cos, sin] of ``values`` over the (rows, cols) ``interior``, which it empties so
+    the two free early; levels into ``out`` (may be ``values``); returns residual, report."""
     cos, sin = trig
     trig.clear()
     rows, cols = interior
     piston1 = float(np.arctan2(sin.sum(), cos.sum()))
-    leveled = values - piston1
+    leveled = np.subtract(values, piston1, out=out)
     # a wrapped map and its circular mean both lie in [-pi, pi]
     leveled = fold(leveled) if wrapped else wrap(leveled)
 
@@ -138,43 +139,62 @@ def _piston_tilt(values, wrapped, trig, interior, crop, tilt):
     row_sums = (cos @ ex.real - sin @ ex.imag) + 1j * (cos @ ex.imag + sin @ ex.real)
     total = np.exp(-1j * piston1) * (np.exp(-1j * beta * y_in) @ row_sums)
     piston2 = float(np.angle(total))
-    # free the interior-sized arrays before the full-size wrap and std
+    # free the interior-sized arrays before a full-size wrap and the std
     del cos, sin
 
     leveled -= alpha * x[None, :]
     leveled -= (beta * y + piston2)[:, None]
-    residual = wrap(leveled)
+    # wrap is the identity bit for bit on [-pi, pi), so only a residual
+    # that left it is wrapped; an unwrapped whole-grid interior keeps its span
+    low, high = leveled.min(), leveled.max()
+    in_range = -np.pi <= low and high < np.pi
+    residual = leveled if in_range else wrap(leveled)
+    span = high - low if in_range and residual[rows, cols].size == residual.size else None
     piston = float(wrap(piston1 + piston2))
 
-    pv, rms = _pv_rms(residual[rows, cols])
+    pv, rms = _pv_rms(residual[rows, cols], span)
     report = PhaseDiffReport(pv=pv, rms=rms, piston_removed=piston, tilt_removed=(alpha, beta),
                              crop=int(crop))
     return residual, report
 
 
-def _phasor_report(z, reference, crop):
+class _Workspace:
+    """What every trial of one Monte-Carlo call writes into: the phasor ``z`` and
+    its modulus over the grid, and the ``interior``'s angle, cos, sin and a mask."""
+
+    def __init__(self, shape, crop):
+        self.interior = _interior(shape, crop)
+        self.z, self.modulus = np.empty(shape, np.complex128), np.empty(shape)
+        inner = self.modulus[self.interior].shape
+        self.angle, self.cos, self.sin = (np.empty(inner) for _ in range(3))
+        self.mask = np.empty(inner, bool)
+
+
+def _phasor_report(z, reference, crop, work=None):
     """``remove_piston_tilt(wrapped_diff(field_phase(F), reference), crop)``'s
     report from ``z = F e^{-i reference}``: on the interior, angle(z) is the
-    difference and z/|z| its cos and sin, with trig only if a pixel is invalid."""
-    rows, cols = _interior(z.shape, crop)
-    modulus = np.abs(z)
-    valid = _valid(modulus)[rows, cols]
-    z, modulus = z[rows, cols], modulus[rows, cols]
-    diff = np.angle(z)
-    diff[diff == np.pi] = -np.pi
+    difference and z/|z| its cos and sin, with trig only if a pixel is invalid;
+    all its arrays go into ``work``, a fresh :class:`_Workspace` when None."""
+    work = work or _Workspace(z.shape, crop)
+    rows, cols = work.interior
+    np.abs(z, out=work.modulus)
+    z, modulus = z[rows, cols], work.modulus[rows, cols]
+    # np.angle's own formula, in [-pi, pi]; +pi maps to -pi as in field_phase
+    diff = np.arctan2(z.imag, z.real, out=work.angle)
+    np.copyto(diff, -np.pi, where=np.equal(diff, np.pi, out=work.mask))
+    valid = _valid(work.modulus, (rows, cols), out=work.mask)
     if valid.all():
-        trig = [z.real / modulus, z.imag / modulus]
+        trig = [np.divide(z.real, modulus, out=work.cos), np.divide(z.imag, modulus, out=work.sin)]
     else:
         diff[~valid] = fold(-reference[rows, cols][~valid])
-        trig = [np.cos(diff), np.sin(diff)]
-    # the interior views hold the full-grid modulus and mask alive until here
-    del modulus, valid
-    return _piston_tilt(diff, True, trig, (slice(None),) * 2, crop, True)[1]
+        trig = [np.cos(diff, out=work.cos), np.sin(diff, out=work.sin)]
+    return _piston_tilt(diff, True, trig, (slice(None),) * 2, crop, True, out=diff)[1]
 
 
-def _pv_rms(interior):
-    """Peak-to-valley and RMS of ``interior`` in waves."""
-    return float((interior.max() - interior.min()) / TWO_PI), float(interior.std() / TWO_PI)
+def _pv_rms(interior, span=None):
+    """Peak-to-valley and RMS of ``interior`` in waves, given its max - min if known."""
+    span = interior.max() - interior.min() if span is None else span
+    return float(span / TWO_PI), float(interior.std() / TWO_PI)
 
 
 def pv_rms(phase_map: PhaseMap, crop: int = 0):
@@ -265,14 +285,15 @@ class _TrialBasis:
             return band, _keep_disc(spectrum, self.mask.cutoff)
         return np.zeros(0, dtype=np.complex128), field
 
-    def trial(self, pair, noise_sigma, noise_seed):
-        """In-band bins and residual phasor z of the trial whose conjugate
-        pair is ``pair``, with the noise :func:`generate_stack` adds for
-        ``noise_seed`` when ``noise_sigma > 0``."""
+    def trial(self, pair, noise_sigma, noise_seed, z):
+        """In-band bins, and residual phasor written into ``z``, of the trial
+        whose conjugate pair is ``pair``, with the noise :func:`generate_stack`
+        adds for ``noise_seed`` when ``noise_sigma > 0``."""
         weights = np.array([pair.a1, pair.a2, self.background_gain])
         # amplitudes or noise near the float limit overflow; the caller refuses the trial
         with np.errstate(over="ignore", invalid="ignore"):
-            band, z = weights @ self.bands, np.tensordot(weights, self.fields, 1)
+            band = weights @ self.bands
+            np.matmul(weights, self.fields.reshape(3, -1), out=z.reshape(-1))
             if noise_sigma > 0.0:
                 # the noise frames generate_stack adds for this seed, contracted
                 rng = np.random.default_rng(noise_seed)
@@ -357,6 +378,10 @@ def montecarlo_repeatability(
     carrier, cutoff, background and noise on/off stay the same: a (3, H, W)
     complex array plus the reference and a copy of the truth (the rotation
     too when noise is on), about 4 MiB at 256x256 and 64 MiB at 1024x1024.
+    Each call also holds one workspace that every trial writes into, freed
+    on return: the phasor and its modulus over the grid, and the interior's
+    angle, cos, sin and a mask, about 2.7 MiB at 256x256 with crop 16 and
+    48 MiB at 1024x1024.
 
     ``method`` is ``temporal`` (phase of the temporal field, artifact
     included) or ``spatial`` (carrier removal plus low-pass; requires a
@@ -389,13 +414,14 @@ def montecarlo_repeatability(
     basis = _trial_basis(truth, spec.combined_taps(), method, carrier, mask, background,
                          noise_sigma > 0.0)
 
+    work = _Workspace(truth.shape, crop)
     pvs, ratios, failures = [], [], []
     for index, (pair, noise_seed) in enumerate(draws):
-        band, z = basis.trial(pair, noise_sigma, noise_seed)
+        band, z = basis.trial(pair, noise_sigma, noise_seed, work.z)
         try:
             if method == "spatial":
                 _guard_band(band, truth.shape, carrier)
-            report = _phasor_report(z, basis.reference, crop)
+            report = _phasor_report(z, basis.reference, crop, work)
         except (RefusalError, DegeneracyError) as exc:
             failures.append((index, str(exc)))
             continue

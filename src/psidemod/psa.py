@@ -191,10 +191,12 @@ def _contract(frames: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return values
 
 
-def _valid(modulus):
-    """Pixels at ``_MIN_MODULUS_RATIO`` of the peak or more (none at peak 0); refuses an overflow."""
+def _valid(modulus, region=..., out=None):
+    """Pixels of ``modulus[region]`` at ``_MIN_MODULUS_RATIO`` of the whole peak or
+    more (none at peak 0), into ``out`` if given; refuses an overflow."""
     peak = _peak(modulus, "complex field", modulus.shape)
-    return modulus >= _MIN_MODULUS_RATIO * peak if peak > 0.0 else np.zeros(modulus.shape, bool)
+    floor = _MIN_MODULUS_RATIO * peak if peak > 0.0 else np.inf
+    return np.greater_equal(modulus[region], floor, out=out)
 
 
 def field_phase(field: ComplexField):

@@ -164,21 +164,34 @@ def test_reference_refusals_are_reproduced():
 
 
 def test_one_trig_pass_and_one_full_size_wrap(monkeypatch):
+    # at most one: a residual already in [-pi, pi) is not wrapped at all
     from psidemod import metrics
 
     calls = {"sin": [], "cos": [], "wrap": []}
 
     def counting(name, original):
         def wrapper(values, *args, **kwargs):
-            calls[name].append(np.shape(values))
+            calls[name].append(np.array(values, copy=True))
             return original(values, *args, **kwargs)
         return wrapper
 
-    rng = np.random.default_rng(5)
-    diff = p.PhaseMap(p.wrap(2.0 + 0.1 * rng.standard_normal((40, 30))), wrapped=True)
     monkeypatch.setattr(metrics.np, "sin", counting("sin", np.sin))
     monkeypatch.setattr(metrics.np, "cos", counting("cos", np.cos))
     monkeypatch.setattr(metrics, "wrap", counting("wrap", metrics.wrap))
-    p.remove_piston_tilt(diff, crop=4)
-    assert calls["sin"] == [(32, 22)] and calls["cos"] == [(32, 22)]
-    assert [shape for shape in calls["wrap"] if shape == (40, 30)] == [(40, 30)]
+    rng = np.random.default_rng(5)
+    steady = 2.0 + 0.1 * rng.standard_normal((40, 30))
+    # the same map levelled to a gentle ramp about 0, with a border column
+    # outside the crop at 3.1 rad, which the removed plane lifts past pi
+    leaving = steady + 0.01 * np.arange(30) - 2.145
+    leaving[:, 0] = 3.1
+    for wraps, values in ((0, steady), (1, leaving)):
+        for found in calls.values():
+            found.clear()
+        residual, _ = p.remove_piston_tilt(p.PhaseMap(p.wrap(values), wrapped=True), crop=4)
+        assert [v.shape for v in calls["sin"]] == [v.shape for v in calls["cos"]] == [(32, 22)]
+        full = [v for v in calls["wrap"] if v.shape == (40, 30)]
+        assert len(full) == wraps
+        assert residual.values.min() >= -np.pi and residual.values.max() < np.pi
+    # the one wrap is of the levelled residual, which had left [-pi, pi)
+    assert full[0].max() >= np.pi
+    assert np.array_equal(residual.values.view(np.int64), p.wrap(full[0]).view(np.int64))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psidemod as p
-from psidemod import metrics
+from psidemod import metrics, psa
 from psidemod.errors import DegeneracyError, RefusalError
 
 from conftest import make_bandlimited, make_ramp
@@ -40,6 +40,9 @@ def test_wrapped_diff_antisymmetric():
 def test_wrapped_diff_shape_mismatch():
     with pytest.raises(ValueError):
         p.wrapped_diff(make_ramp(8), make_ramp(16))
+    # numpy refuses (3, 3) - (3, 4) too, so only the message shows whose refusal it is
+    with pytest.raises(ValueError, match="differ in shape"):
+        p.wrapped_diff(p.PhaseMap(np.zeros((3, 3))), p.PhaseMap(np.zeros((3, 4))))
 
 
 # --- piston/tilt removal ---
@@ -99,6 +102,33 @@ def test_crop_validation():
         p.remove_piston_tilt(diff, crop=8)
     with pytest.raises(ValueError):
         p.remove_piston_tilt(diff, crop=-1)
+
+
+def test_crop_may_leave_exactly_two_interior_rows():
+    # 6x9 at crop 2 keeps rows 2 and 3, the fewest the crop rule accepts
+    diff = p.PhaseMap(np.zeros((6, 9)))
+    _, report = p.remove_piston_tilt(diff, crop=2)
+    assert report.crop == 2 and report.pv == 0.0
+    assert metrics._interior(diff.shape, 2) == (slice(2, 4), slice(2, 7))
+    with pytest.raises(ValueError, match="under 2 interior pixels"):
+        p.remove_piston_tilt(diff, crop=3)
+
+
+def test_span_limit_refuses_a_span_of_exactly_the_limit():
+    # sin is odd, so the circular mean of this map is exactly 0 and its
+    # levelled span is exactly the limit; one ulp less is accepted, and with
+    # tilt off that span is the P-V
+    limit = metrics._WRAP_SPAN_LIMIT
+    half = limit / 2
+
+    def corners(top):
+        return p.PhaseMap(np.array([[-half, 0.0, 0.0], [0.0, 0.0, top]]), wrapped=True)
+
+    with pytest.raises(RefusalError, match=f"spans {limit:.4f} rad"):
+        p.remove_piston_tilt(corners(half), tilt=False)
+    _, report = p.remove_piston_tilt(corners(np.nextafter(half, 0.0)), tilt=False)
+    assert report.pv == pytest.approx(limit / (2 * np.pi), rel=1e-15)
+    assert round(report.pv, 3) == 0.992
 
 
 def test_report_serializes():
@@ -260,10 +290,69 @@ def _mc_reference(truth, method, carrier):
 
 def _montecarlo_fields(truth, spec, **kwargs):
     """montecarlo_repeatability, and the residual phasor z = F e^{-i reference}
-    of each trial's demodulated field F, as handed to the compare."""
-    with mock.patch.object(metrics, "_phasor_report", wraps=metrics._phasor_report) as spy:
+    of each trial's demodulated field F, as handed to the compare: copied,
+    since every trial of a call writes its z into the same buffer."""
+    fields = []
+    original = metrics._phasor_report
+
+    def spy(z, *args):
+        fields.append(z.copy())
+        return original(z, *args)
+
+    with mock.patch.object(metrics, "_phasor_report", spy):
         summary = p.montecarlo_repeatability(truth, spec, **kwargs)
-    return summary, [call.args[0] for call in spy.call_args_list]
+    return summary, fields
+
+
+def test_montecarlo_reuses_one_workspace_per_call(sh5):
+    truth = p.synthesize_wavefront("defocus", 3.0, (40, 48))
+    calls = []
+    original = metrics._phasor_report
+
+    def spy(z, *args):
+        calls[-1].append(z)
+        return original(z, *args)
+
+    with mock.patch.object(metrics, "_phasor_report", spy):
+        for _ in range(2):
+            calls.append([])
+            p.montecarlo_repeatability(truth, sh5, trials=4, seed=2)
+    first, second = calls
+    assert len(first) == len(second) == 4
+    assert all(np.shares_memory(z, first[0]) for z in first)
+    assert all(np.shares_memory(z, second[0]) for z in second)
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+
+@pytest.mark.parametrize("method", ["temporal", "spatial"])
+def test_montecarlo_fallback_trial_leaves_no_stale_buffers(sh5, method):
+    # the first trial's phasor gets one invalid interior pixel, so its compare
+    # takes the _valid fallback into the buffers that the later, all-valid
+    # trials reuse; each must still give the bits of a compare on fresh arrays
+    truth = p.synthesize_wavefront("defocus", 3.0, (48, 40))
+    carrier = p.CarrierSpec(0.8, 0.3)
+    mask = p.SpectralMask(0.35, border_crop=4) if method == "spatial" else None
+    crop, trials = 4, 5
+    seen = []
+    original = metrics._phasor_report
+
+    def spy(z, reference, *args):
+        if not seen:
+            z[crop + 1, crop + 2] = 0.0
+        seen.append((z.copy(), reference))
+        return original(z, reference, *args)
+
+    with mock.patch.object(metrics, "_phasor_report", spy):
+        summary = p.montecarlo_repeatability(truth, sh5, method=method, carrier=carrier,
+                                             mask=mask, trials=trials, seed=4, crop=crop)
+    assert summary.n_failed == 0
+    rows, cols = metrics._interior(truth.shape, crop)
+    assert [psa._valid(np.abs(z))[rows, cols].all() for z, _ in seen] == [False] + [True] * 4
+    fresh = [original(z, reference, crop).pv for z, reference in seen]
+    assert [pv.hex() for pv in summary.pv_waves] == [pv.hex() for pv in fresh]
+    # and the untouched trials match the per-trial pipeline
+    _, pvs, _ = _pipeline_trials(truth, sh5, method, carrier, mask, crop, 0.0, trials, 4)
+    assert np.abs(np.array(summary.pv_waves[1:]) - pvs[1:]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("method", ["temporal", "spatial"])

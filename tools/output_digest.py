@@ -70,6 +70,14 @@ COMMANDS = (
                                            "--cutoff", "0.35", "--border-crop", "4",
                                            "--errors", "gaussian:0.2", "--trials", "10",
                                            "--seed", "11"]),
+    # the benchmark's size, where each call's reused trial buffers cross the
+    # allocator's thresholds: mc-spatial-256's configuration, and temporal at crop 0
+    ("montecarlo-spatial-256", ["montecarlo", "--method", "spatial", "--width", "256",
+                                "--height", "256", "--carrier", "pi/4", "--cutoff", "pi/8",
+                                "--border-crop", "16", "--trials", "20", "--seed", "13"]),
+    ("montecarlo-temporal-256", ["montecarlo", "--method", "temporal", "--width", "256",
+                                 "--height", "256", "--crop", "0", "--trials", "20",
+                                 "--seed", "17"]),
     ("ftf-fig2", ["ftf", "--preset", "fig2"]),
 )
 
