@@ -15,6 +15,9 @@ Every transform in the package is :func:`_forward` or :func:`_keep_disc`, in
 carrier search and the spectrum export take the full grid.  Spatial demodulation
 and the Monte-Carlo superposition share :func:`_spectral_chain`, which, like
 :func:`lowpass`, transforms only the columns of a disc from :func:`_disc`'s cache.
+The column passes work on basic slices in place (forward) and in blocks of
+``_COLUMN_BLOCK`` columns through a small scratch (inverse); each column is
+the same 1-D transform whatever the block, so blocking changes no bit.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ _SLOPE_MARGIN = 0.95
 _EXCLUSION_RADIUS = 2.0
 # below this, a sum of squares may have lost bits to terms that underflowed
 _UNDERFLOW_FREE = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+# columns per block of the inverse column pass: a 1024-row block is 1 MiB
+_COLUMN_BLOCK = 64
 
 
 @functools.lru_cache(maxsize=8)
@@ -62,36 +67,57 @@ def _disc(shape, radius):
 
 def _forward(values: np.ndarray, radius: float | None, out=None) -> np.ndarray:
     """Transform every row of ``values`` into ``out`` (``values`` itself to
-    work in place), then only the columns that hold bins of the ``radius``
-    disc.  Those bins equal ``fft2``'s; the other columns stay row spectra.
-    With ``radius`` None every column is transformed: ``fft2`` bit for bit."""
-    cols = slice(None) if radius is None else _disc(values.shape, radius)[1]
+    work in place), then, in place, only the columns that hold bins of the
+    ``radius`` disc.  In ``fftfreq`` order those columns are two runs, the
+    non-negative and the negative frequencies, so each run is transformed as
+    a basic slice, with no gather or scatter.  Those bins equal ``fft2``'s;
+    the other columns stay row spectra.  With ``radius`` None every column is
+    transformed: ``fft2`` bit for bit."""
+    width = values.shape[1]
+    if radius is None:
+        runs = (slice(None),)
+    else:
+        cols = _disc(values.shape, radius)[1]
+        positive = int(np.count_nonzero(cols < (width + 1) // 2))
+        runs = (slice(0, positive), slice(width - (cols.size - positive), width))
     with np.errstate(over="ignore", invalid="ignore"):
         spectrum = np.fft.fft(values, axis=1, out=out)
-        block = spectrum[:, cols]
-        spectrum[:, cols] = np.fft.fft(block, axis=0, out=block)
+        for run in runs:
+            block = spectrum[:, run]
+            np.fft.fft(block, axis=0, out=block)
     return spectrum
 
 
 def _keep_disc(spectrum: np.ndarray, cutoff: float) -> np.ndarray:
     """Transform back only the bins of a :func:`_forward` spectrum inside
-    the cutoff disc, reusing its buffer: zero it, write the inverse row
-    transforms of the disc's rows, then invert every column.  Warns when
-    the disc admits only the DC bin, since the filtered phase is then
-    constant."""
+    the cutoff disc, reusing its buffer: invert the disc's rows, then every
+    column, ``_COLUMN_BLOCK`` columns at a time through one scratch that is
+    zeroed and given the disc rows for each block.  Each column is the same
+    1-D inverse of the same values as ``ifft2``'s, whatever the block, so the
+    bits do not change; a block stays in cache, and the full buffer is never
+    zero-filled.  Warns when the disc admits only the DC bin, since the
+    filtered phase is then constant."""
     rows, cols, inside, radii = _disc(spectrum.shape, cutoff)
+    height, width = spectrum.shape
     if radii.size <= 1:
         warnings.warn(
             f"cutoff {cutoff:.6g} rad/px admits only the DC bin on a "
-            f"{spectrum.shape[0]}x{spectrum.shape[1]} grid; the filtered phase is constant",
+            f"{height}x{width} grid; the filtered phase is constant",
             stacklevel=3,
         )
-    kept = np.zeros((rows.size, spectrum.shape[1]), dtype=np.complex128)
+    kept = np.zeros((rows.size, width), dtype=np.complex128)
     kept[:, cols] = np.where(inside, spectrum[np.ix_(rows, cols)], 0.0)
-    spectrum.fill(0.0)
+    # one spare column keeps the scratch's rows a non-power-of-two apart
+    scratch = np.empty((height, _COLUMN_BLOCK + 1), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        spectrum[rows] = np.fft.ifft(kept, axis=1, out=kept)
-        return np.fft.ifft(spectrum, axis=0, out=spectrum)
+        np.fft.ifft(kept, axis=1, out=kept)
+        for start in range(0, width, _COLUMN_BLOCK):
+            columns = slice(start, start + _COLUMN_BLOCK)
+            block = scratch[:, :min(_COLUMN_BLOCK, width - start)]
+            block.fill(0.0)
+            block[rows] = kept[:, columns]
+            spectrum[:, columns] = np.fft.ifft(block, axis=0, out=block)
+    return spectrum
 
 
 @dataclass(frozen=True)

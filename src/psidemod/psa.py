@@ -33,6 +33,9 @@ _BACKGROUND_TOL = 1e-12
 # a pixel's phase counts as valid when its modulus reaches this fraction
 # of the field's peak modulus
 _MIN_MODULUS_RATIO = 1e-9
+# pixels per matmul of the temporal contraction: 640 KiB of five float64
+# frames, which stays in L2
+_CONTRACT_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -177,17 +180,22 @@ def demodulate_temporal(stack: InterferogramStack, spec: PsaSpec) -> ComplexFiel
 
 
 def _contract(frames: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """sum_n taps[n] * frames[n] over real frames of shape (N, height, width)."""
+    """sum_n taps[n] * frames[n] over real frames of shape (N, height, width),
+    one block of ``_CONTRACT_BLOCK`` pixels at a time.  Each output element is
+    the same N-term dot product whatever the block, so the bits do not depend
+    on it; a block's frames stay in cache, and OpenBLAS neither packs the whole
+    stack nor splits so small a product over threads."""
     # the frames are real, so one real matmul (HW x N) @ (N x 2) gives the
     # interleaved real and imaginary parts of S directly in complex layout;
     # an overflow leaves inf or nan behind, which the constructor refuses
+    flat = frames.reshape(frames.shape[0], -1)
+    weights = np.stack([taps.real, taps.imag], axis=1)
     values = np.empty(frames.shape[1:], dtype=np.complex128)
+    out = values.view(np.float64).reshape(-1, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(
-            frames.reshape(frames.shape[0], -1).T,
-            np.stack([taps.real, taps.imag], axis=1),
-            out=values.view(np.float64).reshape(-1, 2),
-        )
+        for start in range(0, flat.shape[1], _CONTRACT_BLOCK):
+            block = slice(start, start + _CONTRACT_BLOCK)
+            np.matmul(flat[:, block].T, weights, out=out[block])
     return values
 
 

@@ -4,8 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psidemod as p
+from psidemod import psa
 from psidemod.errors import DegeneracyError, RefusalError
 
 
@@ -103,6 +106,50 @@ def test_taps_from_zeros_refuses_a_bad_nominal_step(step):
     # leave non-finite taps
     with pytest.raises(ValueError, match="nominal step must be finite and nonzero"):
         p.taps_from_zeros([np.pi / 2], step)
+
+
+def test_sweep_takes_two_samples():
+    omegas, values = p.ftf_sweep(p.sh5_spec(), 2)
+    assert np.array_equal(omegas, [-np.pi, 0.0])
+    assert values.shape == (2,)
+
+
+def test_zero_at_exactly_the_passband_tolerance_is_accepted():
+    # wrap(5e-10 + 5e-10) is exactly the 1e-9 tolerance, which is not inside it
+    spec = p.taps_from_zeros([5e-10], 5e-10)
+    assert spec.n_steps == 2
+
+
+@pytest.mark.parametrize("offset, refused", [(0.97e-9, True), (1.03e-9, False)])
+def test_zero_near_the_passband_refuses_within_the_tolerance(offset, refused):
+    # with step 0.5 the passband sits at omega = -0.5
+    if refused:
+        with pytest.raises(RefusalError, match="passband"):
+            p.taps_from_zeros([-0.5 + offset], 0.5)
+    else:
+        assert p.taps_from_zeros([-0.5 + offset], 0.5).n_steps == 2
+
+
+@pytest.mark.parametrize(
+    "step, offset, refused",
+    [
+        # at pi/2 the relative tolerance rules: 1e-12 * pi/2 = 1.5708e-12
+        (np.pi / 2, 1.52e-12, False),
+        (np.pi / 2, 1.62e-12, True),
+        # at 0.5 the absolute one does: 1e-12
+        (0.5, 0.97e-12, False),
+        (0.5, 1.03e-12, True),
+    ],
+)
+def test_nominal_step_match_tolerance(step, offset, refused):
+    spec = p.PsaSpec(np.array([1.0, 2.0, 2.0, 2.0, 1.0]), step)
+    stack = p.InterferogramStack(np.ones((5, 8, 8)), step + offset)
+    assert abs(stack.nominal_step - step - offset) < 1e-15
+    if refused:
+        with pytest.raises(RefusalError, match="does not match"):
+            p.demodulate_temporal(stack, spec)
+    else:
+        assert p.demodulate_temporal(stack, spec).shape == (8, 8)
 
 
 @pytest.mark.parametrize(
@@ -227,3 +274,45 @@ def test_overflowing_contraction_is_degenerate_without_a_warning(sh5):
         warnings.simplefilter("error")
         with pytest.raises(DegeneracyError, match="overflowed to non-finite"):
             p.demodulate_temporal(stack, sh5)
+
+
+def _whole_matmul(frames, taps):
+    """The contraction as one real matmul over every pixel."""
+    return np.matmul(frames.reshape(frames.shape[0], -1).T,
+                     np.stack([taps.real, taps.imag], axis=1))
+
+
+def _as_bits(values):
+    return values.view(np.float64).reshape(-1, 2).view(np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_frames=st.integers(3, 13),
+    height=st.integers(2, 24),
+    width=st.integers(2, 24),
+    block=st.sampled_from([1, 3, 7]),
+    complex_taps=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_contraction_is_bit_identical_to_one_matmul(n_frames, height, width, block,
+                                                            complex_taps, seed):
+    rng = np.random.default_rng(seed)
+    frames = rng.normal(100.0, 50.0, size=(n_frames, height, width))
+    taps = rng.normal(size=n_frames) + (1j * rng.normal(size=n_frames) if complex_taps else 0j)
+    with pytest.MonkeyPatch.context() as patch:
+        # small blocks cross many block edges and leave a remainder
+        patch.setattr(psa, "_CONTRACT_BLOCK", block)
+        got = psa._contract(frames, taps)
+    assert np.array_equal(_as_bits(got), _whole_matmul(frames, taps).view(np.int64))
+
+
+@pytest.mark.parametrize("complex_taps", [False, True])
+def test_contraction_over_more_than_one_block_is_bit_identical_to_one_matmul(complex_taps):
+    # 130 x 130 = 16,900 pixels: one full block of the real size and a remainder
+    assert 130 * 130 > psa._CONTRACT_BLOCK
+    rng = np.random.default_rng(24)
+    frames = rng.normal(100.0, 50.0, size=(5, 130, 130))
+    taps = p.sh5_spec().combined_taps() if complex_taps else rng.normal(size=5) + 0j
+    got = psa._contract(frames, taps)
+    assert np.array_equal(_as_bits(got), _whole_matmul(frames, taps).view(np.int64))

@@ -20,10 +20,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import psidemod as p
+from psidemod import carrier as carrier_module
 from psidemod import metrics
 from psidemod.carrier import (_disc, _forward, _guard_band, _spectral_chain,
                               spatial_from_temporal)
@@ -31,6 +32,14 @@ from psidemod.formats import export_spectrum
 
 TOL = 1e-12
 TWO_PI = 2 * np.pi
+# the inverse column pass's block: the real one, or small enough that a grid
+# of 9-64 px crosses many block edges and leaves a remainder
+_COLUMN_BLOCKS = st.sampled_from([None, 1, 5])
+
+
+def _column_block(patch, block):
+    if block is not None:
+        patch.setattr(carrier_module, "_COLUMN_BLOCK", block)
 
 
 def _full_grid_radii(shape):
@@ -211,10 +220,11 @@ def _reference(temporal, carrier, mask, apply_filter):
     noise=st.just(0.0) | st.floats(1e-6, 1e-3),
     seed=st.integers(0, 2**32 - 1),
     apply_filter=st.booleans(),
+    column_block=_COLUMN_BLOCKS,
 )
 def test_band_limited_chain_is_bit_identical_to_the_full_grid_chain(
     height, width, direction, magnitude, cutoff_ratio, cycles, amplitude, leak, background,
-    noise, seed, apply_filter,
+    noise, seed, apply_filter, column_block,
 ):
     carrier = p.CarrierSpec(magnitude * np.cos(direction), magnitude * np.sin(direction))
     mask = p.SpectralMask(cutoff_ratio * magnitude)
@@ -224,7 +234,9 @@ def test_band_limited_chain_is_bit_identical_to_the_full_grid_chain(
     rho = _full_grid_radii((height, width))
     assert np.array_equal(_disc((height, width), magnitude)[3], rho[rho <= magnitude])
 
-    got, got_refusal = _outcome(lambda: _chain(temporal, carrier, mask, apply_filter))
+    with pytest.MonkeyPatch.context() as patch:
+        _column_block(patch, column_block)
+        got, got_refusal = _outcome(lambda: _chain(temporal, carrier, mask, apply_filter))
     want, want_refusal = _outcome(lambda: _reference(temporal, carrier, mask, apply_filter))
     assert got_refusal == want_refusal
     if want_refusal is None:
@@ -238,14 +250,22 @@ def test_band_limited_chain_is_bit_identical_to_the_full_grid_chain(
     width=st.integers(9, 64),
     cutoff=st.floats(0.05, np.pi),
     seed=st.integers(0, 2**32 - 1),
+    column_block=_COLUMN_BLOCKS,
 )
-def test_lowpass_is_bit_identical_to_fft2_mask_ifft2(height, width, cutoff, seed):
+# a disc narrower than one column bin, whose columns are one run, and one
+# whose columns are two, each across block edges; then a grid wider than the real block
+@example(height=40, width=61, cutoff=0.05, seed=1, column_block=5)
+@example(height=40, width=61, cutoff=0.9, seed=2, column_block=5)
+@example(height=33, width=47, cutoff=0.9, seed=3, column_block=1)
+@example(height=150, width=200, cutoff=np.pi / 8, seed=4, column_block=None)
+def test_lowpass_is_bit_identical_to_fft2_mask_ifft2(height, width, cutoff, seed, column_block):
     rng = np.random.default_rng(seed)
     field = p.ComplexField(rng.normal(size=(height, width))
                            + 1j * rng.normal(size=(height, width)))
     mask = p.SpectralMask(cutoff)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("ignore", UserWarning)
+        _column_block(patch, column_block)
         got = p.lowpass(field, mask).values
     assert np.array_equal(got, reference_lowpass(field, mask))
 
@@ -339,17 +359,19 @@ def test_spatial_montecarlo_on_the_cached_basis_transforms_nothing(sh5, monkeypa
 
 def test_filtered_spatial_demod_peak_allocation_stays_within_twice_the_field():
     carrier = p.CarrierSpec(np.pi / 4, 0.1)
-    truth = p.synthesize_wavefront("defocus", 2.0, (192, 256))
-    psi = truth.values + carrier.phase_field(truth.shape)
-    temporal = p.ComplexField(np.exp(1j * psi) + 0.1 * np.exp(-1j * psi))
-    spatial_from_temporal(temporal, carrier=carrier)  # fills the disc cache
-    tracemalloc.start()
-    try:
-        spatial_from_temporal(temporal, carrier=carrier)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * temporal.values.nbytes, peak / temporal.values.nbytes
+    # at 1024 rows the inverse column pass's scratch holds a full block
+    for shape in ((192, 256), (1024, 256)):
+        truth = p.synthesize_wavefront("defocus", 2.0, shape)
+        psi = truth.values + carrier.phase_field(truth.shape)
+        temporal = p.ComplexField(np.exp(1j * psi) + 0.1 * np.exp(-1j * psi))
+        spatial_from_temporal(temporal, carrier=carrier)  # fills the disc cache
+        tracemalloc.start()
+        try:
+            spatial_from_temporal(temporal, carrier=carrier)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * temporal.values.nbytes, (shape, peak / temporal.values.nbytes)
 
 
 def _montecarlo_peak(truth, spec, **kwargs):

@@ -47,6 +47,11 @@ COMMANDS = (
     ("demod-oblique-127x96", ["demod", "--method", "spatial", "--width", "127",
                               "--height", "96", "--carrier", "0.5,-0.9", "--compare-truth",
                               "--line-cut-row", "40"]),
+    # 30,000 pixels cross a contraction block, and 200 columns are three inverse
+    # column blocks plus a remainder; the export transforms the full grid
+    ("demod-blocks-200x150", ["demod", "--method", "spatial", "--width", "200",
+                              "--height", "150", "--carrier", "pi/4", "--compare-truth",
+                              "--export-spectrum", "--line-cut-row", "75"]),
     ("compare-tilt", ["compare", "--phase1", "demod-spatial-128/phase.json",
                       "--phase2", "demod-spatial-128/truth.json",
                       "--crop", "8", "--pgm", "--gain", "4"]),
