@@ -10,6 +10,7 @@ to their sidecar, ``<stem>_NNN.f32`` (or ``.pgm`` for camera data).
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -84,13 +85,34 @@ def _save_grid(stem, kind: str, values, dtype: str, **extra) -> list[Path]:
     return [raw, dump_json(stem.with_suffix(".json"), payload)]
 
 
-def _sizes(sidecar: Path, meta: dict, keys) -> tuple:
-    """The positive integers a sidecar records under ``keys``."""
-    sizes = tuple(meta.get(key) for key in keys)
-    for key, size in zip(keys, sizes):
-        if type(size) is not int or size < 1:
-            raise ValueError(f"{sidecar} field {key!r} must be a positive integer, got {size!r}")
-    return sizes
+def _is_number(value) -> bool:
+    """A JSON number that float() takes: JSON's true and false are bools, not
+    numbers, and an integer past the float range would overflow."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
+# what a sidecar field of each kind accepts
+_FIELD_KINDS = {
+    "a positive integer": lambda value: type(value) is int and value >= 1,
+    "an integer": lambda value: type(value) is int,
+    "a number": _is_number,
+    "a list of numbers": lambda value: type(value) is list and all(map(_is_number, value)),
+    "true or false": lambda value: type(value) is bool,
+    "an object": lambda value: type(value) is dict,
+}
+
+
+def _field(where, meta: dict, key: str, kind: str, optional: bool = False):
+    """What ``meta`` records under ``key``: a float for a number, else as read.
+    Anything but ``kind``, or null where ``optional``, raises ``ValueError``
+    naming ``where`` (the sidecar) and the field."""
+    value = meta.get(key)
+    if value is None and optional:
+        return None
+    if not _FIELD_KINDS[kind](value):
+        null = " or null" if optional else ""
+        raise ValueError(f"{where} field {key!r} must be {kind}{null}, got {value!r}")
+    return float(value) if kind == "a number" else value
 
 
 def _load_grid(path, kind: str, what: str, dtype: str):
@@ -101,7 +123,7 @@ def _load_grid(path, kind: str, what: str, dtype: str):
     meta = load_json(sidecar)
     if meta.get("kind") != kind:
         raise ValueError(f"{sidecar} does not describe {what}")
-    shape = _sizes(sidecar, meta, ("height", "width"))
+    shape = tuple(_field(sidecar, meta, key, "a positive integer") for key in ("height", "width"))
     return _read_raw(sidecar.with_suffix(_SUFFIX[dtype]), shape, np.dtype(dtype)), meta
 
 
@@ -111,7 +133,9 @@ def save_phase_map(stem, phase_map: PhaseMap) -> list[Path]:
 
 def load_phase_map(path) -> PhaseMap:
     values, meta = _load_grid(path, "phase_map", "a phase map", "<f4")
-    return PhaseMap(values.astype(np.float64), wrapped=bool(meta["wrapped"]))
+    return PhaseMap(values.astype(np.float64),
+                    wrapped=_field(Path(path).with_suffix(".json"), meta, "wrapped",
+                                   "true or false"))
 
 
 def save_complex_field(stem, field: ComplexField) -> list[Path]:
@@ -160,9 +184,9 @@ def load_stack(sidecar_path) -> InterferogramStack:
     """Rebuild a stack from its sidecar, frames from .f32 or .pgm files."""
     sidecar = Path(sidecar_path)
     meta = load_json(sidecar)
-    width, height, n_frames = _sizes(sidecar, meta, ("width", "height", "N"))
-    if meta.get("omega0") is None:
-        raise ValueError(f"stack sidecar {sidecar} lacks required field 'omega0'")
+    width, height, n_frames = (_field(sidecar, meta, key, "a positive integer")
+                               for key in ("width", "height", "N"))
+    omega0 = _field(sidecar, meta, "omega0", "a number")
     stem = sidecar.stem
     frames = np.empty((n_frames, height, width))
     for index in range(n_frames):
@@ -178,19 +202,21 @@ def load_stack(sidecar_path) -> InterferogramStack:
         else:
             raise FileNotFoundError(f"frame {index} of {sidecar} not found ({raw.name} or {pgm.name})")
 
-    carrier = meta.get("carrier")
-    if carrier is not None and not (isinstance(carrier, dict) and {"u0", "v0"} <= carrier.keys()):
-        raise ValueError(f"stack sidecar {sidecar} carrier needs 'u0' and 'v0', got {carrier!r}")
-    errors = meta.get("errors")
+    carrier = _field(sidecar, meta, "carrier", "an object", optional=True)
+    if carrier is not None:
+        where = f"{sidecar} carrier"
+        carrier = CarrierSpec(_field(where, carrier, "u0", "a number"),
+                              _field(where, carrier, "v0", "a number"))
+    errors = _field(sidecar, meta, "errors", "a list of numbers", optional=True)
     metadata = StackMetadata(
-        background=None if meta.get("a") is None else float(meta["a"]),
-        contrast=None if meta.get("b") is None else float(meta["b"]),
-        carrier=None if carrier is None else CarrierSpec(float(carrier["u0"]), float(carrier["v0"])),
+        background=_field(sidecar, meta, "a", "a number", optional=True),
+        contrast=_field(sidecar, meta, "b", "a number", optional=True),
+        carrier=carrier,
         errors=None if errors is None else ErrorSchedule(np.asarray(errors, dtype=np.float64)),
-        noise_sigma=None if meta.get("noise_sigma") is None else float(meta["noise_sigma"]),
-        seed=None if meta.get("seed") is None else int(meta["seed"]),
+        noise_sigma=_field(sidecar, meta, "noise_sigma", "a number", optional=True),
+        seed=_field(sidecar, meta, "seed", "an integer", optional=True),
     )
-    return InterferogramStack(frames, float(meta["omega0"]), metadata)
+    return InterferogramStack(frames, omega0, metadata)
 
 
 def read_pgm(path) -> np.ndarray:

@@ -170,12 +170,11 @@ class _Workspace:
         self.mask = np.empty(inner, bool)
 
 
-def _phasor_report(z, reference, crop, work=None):
+def _phasor_report(z, reference, crop, work):
     """``remove_piston_tilt(wrapped_diff(field_phase(F), reference), crop)``'s
     report from ``z = F e^{-i reference}``: on the interior, angle(z) is the
     difference and z/|z| its cos and sin, with trig only if a pixel is invalid;
-    all its arrays go into ``work``, a fresh :class:`_Workspace` when None."""
-    work = work or _Workspace(z.shape, crop)
+    all its arrays go into ``work``, a :class:`_Workspace` of ``z``'s shape and ``crop``."""
     rows, cols = work.interior
     np.abs(z, out=work.modulus)
     z, modulus = z[rows, cols], work.modulus[rows, cols]
@@ -240,24 +239,23 @@ class MonteCarloSummary:
 
 
 class _TrialBasis:
-    """What every Monte-Carlo trial on one truth shares.  Building it refuses
-    a carrier at or below the truth's slope as :func:`generate_stack` does;
-    nothing else about the truth can refuse, so a built basis holds none.
+    """What every Monte-Carlo trial on one truth, method, carrier and cutoff
+    shares.  Building it refuses a carrier at or below the truth's slope as
+    :func:`generate_stack` does; nothing else about the truth can refuse, so a
+    built basis holds none.
 
     The (3, H, W) ``fields`` are the filtered (temporal: unfiltered) fields
     of e^{i psi}, e^{-i psi} and the background, rotated by e^{-i reference}
     into the reference frame, and ``bands`` their in-band bins.  A trial
     with amplitudes A1, A2 is the weighted sum (A1, A2, background gain) of
-    both.  ``rotation`` is kept only for noise, which goes through the chain
-    per trial.  Every array is read-only, so a cached basis cannot change.
+    both; the taps, background and noise are the caller's.  Every array is
+    read-only, so a cached basis cannot change.
     """
 
-    def __init__(self, truth: PhaseMap, taps, method, carrier, mask, background, noisy):
+    def __init__(self, truth: PhaseMap, method, carrier, mask):
         cos, sin = _synthesis_trig(truth, carrier)
         self.method, self.carrier, self.mask = method, carrier, mask
-        _freeze(self, "taps", taps)
         _freeze(self, "reference", _reference(truth, method, carrier))
-        self.background_gain = background * complex(np.sum(taps))
         # e^{i psi}, e^{-i psi} and the background in one basis array; each slot
         # goes once through the chain and takes back its filtered (temporal: own) field
         fields = np.empty((3,) + truth.shape, dtype=np.complex128)
@@ -270,12 +268,8 @@ class _TrialBasis:
             bands[slot], fields[slot] = self._chain(fields[slot])
         _freeze(self, "bands", np.stack(bands))
         # into the reference frame: each trial's sum is then its residual phasor
-        rotation = np.exp(-1j * self.reference)
-        fields *= rotation
+        fields *= np.exp(-1j * self.reference)
         _freeze(self, "fields", fields)
-        self.rotation = None
-        if noisy:
-            _freeze(self, "rotation", rotation)
 
     def _chain(self, field):
         """In-band spectrum bins (none for temporal) and demodulated field;
@@ -285,27 +279,23 @@ class _TrialBasis:
             return band, _keep_disc(spectrum, self.mask.cutoff)
         return np.zeros(0, dtype=np.complex128), field
 
-    def trial(self, pair, noise_sigma, noise_seed, z):
+    def trial(self, weights, noise, rotation, z):
         """In-band bins, and residual phasor written into ``z``, of the trial
-        whose conjugate pair is ``pair``, with the noise :func:`generate_stack`
-        adds for ``noise_seed`` when ``noise_sigma > 0``."""
-        weights = np.array([pair.a1, pair.a2, self.background_gain])
+        that sums the basis with ``weights`` (A1, A2, background gain), plus,
+        when ``noise`` is not None, its contracted noise field brought through
+        the chain and into the reference frame by ``rotation``."""
         # amplitudes or noise near the float limit overflow; the caller refuses the trial
         with np.errstate(over="ignore", invalid="ignore"):
             band = weights @ self.bands
             np.matmul(weights, self.fields.reshape(3, -1), out=z.reshape(-1))
-            if noise_sigma > 0.0:
-                # the noise frames generate_stack adds for this seed, contracted
-                rng = np.random.default_rng(noise_seed)
-                noise = rng.normal(0.0, noise_sigma, size=(self.taps.size,) + z.shape)
-                noise_band, noise_field = self._chain(_contract(noise, self.taps))
+            if noise is not None:
+                noise_band, noise_field = self._chain(noise)
                 band += noise_band
-                z += noise_field * self.rotation
+                z += noise_field * rotation
         return band, z
 
 
-# the last trial basis built, as (key, read-only copy of its truth's values,
-# basis, finalizer of its truth), or None
+# the last trial basis built, as (key, basis, finalizer of its truth), or None
 _cached_basis = None
 
 
@@ -315,29 +305,26 @@ def _drop_basis():
     global _cached_basis
     entry, _cached_basis = _cached_basis, None
     if entry is not None:
-        entry[3].detach()
+        entry[2].detach()
 
 
-def _trial_basis(truth: PhaseMap, taps, method, carrier, mask, background, noisy):
+def _trial_basis(truth: PhaseMap, method, carrier, mask):
     """The :class:`_TrialBasis` of these inputs.  The last one built is reused
-    while the truth's values match a copy held with it bit for bit (its
-    identity is not enough, since an owned array can be made writable again)
-    and the taps, method, carrier, cutoff, background and noise on/off match.
-    A miss drops it before building; it goes when its truth is collected."""
+    while the truth's shape and bytes (its identity is not enough, since an
+    owned array can be made writable again), the method, the carrier and, for
+    spatial runs, the cutoff match.  A miss drops it before building; it goes
+    when its truth is collected."""
     global _cached_basis
-    # repr, unlike ==, tells a -0.0 carrier component from +0.0
-    key = (taps.tobytes(), method, repr(carrier), mask.cutoff if method == "spatial" else None,
-           background, noisy)
+    # bytes compare bits, so a -0.0 pixel differs from +0.0 as it does in the
+    # trig; repr, unlike ==, tells a -0.0 carrier component from +0.0
+    key = (truth.shape, truth.values.tobytes(), method, repr(carrier),
+           mask.cutoff if method == "spatial" else None)
     entry = _cached_basis
-    # int64 views compare bits, so -0.0 differs from +0.0 as it does in the trig
-    if (entry is not None and entry[0] == key
-            and np.array_equal(entry[1].view(np.int64), truth.values.view(np.int64))):
-        return entry[2]
+    if entry is not None and entry[0] == key:
+        return entry[1]
     _drop_basis()
-    held = truth.values.copy()
-    held.setflags(write=False)
-    basis = _TrialBasis(truth, taps, method, carrier, mask, background, noisy)
-    _cached_basis = (key, held, basis, weakref.finalize(truth, _drop_basis))
+    basis = _TrialBasis(truth, method, carrier, mask)
+    _cached_basis = (key, basis, weakref.finalize(truth, _drop_basis))
     return basis
 
 
@@ -374,14 +361,15 @@ def montecarlo_repeatability(
     overflow and the span check fail single trials, reported, not dropped.
 
     The trial basis that superposition sums is built once per truth and
-    reused by later calls while that truth lives and the taps, method,
-    carrier, cutoff, background and noise on/off stay the same: a (3, H, W)
-    complex array plus the reference and a copy of the truth (the rotation
-    too when noise is on), about 4 MiB at 256x256 and 64 MiB at 1024x1024.
-    Each call also holds one workspace that every trial writes into, freed
-    on return: the phasor and its modulus over the grid, and the interior's
+    reused by later calls while that truth lives and the method, carrier and
+    cutoff stay the same: a (3, H, W) complex array plus the reference, and
+    the truth's bytes in its key, about 4 MiB at 256x256 and 64 MiB at
+    1024x1024.  The taps, background and noise are each call's own.  Each
+    call also holds one workspace that every trial writes into, freed on
+    return: the phasor and its modulus over the grid, and the interior's
     angle, cos, sin and a mask, about 2.7 MiB at 256x256 with crop 16 and
-    48 MiB at 1024x1024.
+    48 MiB at 1024x1024.  A noisy call holds the rotation into the reference
+    frame too, 16 MiB at 1024x1024, while it runs.
 
     ``method`` is ``temporal`` (phase of the temporal field, artifact
     included) or ``spatial`` (carrier removal plus low-pass; requires a
@@ -411,13 +399,20 @@ def montecarlo_repeatability(
         schedule = make_error_schedule(error_kind, spec.n_steps, magnitude=error_magnitude,
                                        nominal_step=spec.nominal_step, seed=schedule_seed)
         draws.append((conjugate_amplitudes(spec, schedule, contrast), noise_seed))
-    basis = _trial_basis(truth, spec.combined_taps(), method, carrier, mask, background,
-                         noise_sigma > 0.0)
+    basis = _trial_basis(truth, method, carrier, mask)
+    taps = spec.combined_taps()
+    gain = background * complex(np.sum(taps))
+    rotation = np.exp(-1j * basis.reference) if noise_sigma > 0.0 else None
 
     work = _Workspace(truth.shape, crop)
     pvs, ratios, failures = [], [], []
     for index, (pair, noise_seed) in enumerate(draws):
-        band, z = basis.trial(pair, noise_sigma, noise_seed, work.z)
+        noise = None
+        if noise_sigma > 0.0:
+            # the noise frames generate_stack adds for this seed, contracted
+            rng = np.random.default_rng(noise_seed)
+            noise = _contract(rng.normal(0.0, noise_sigma, (taps.size,) + truth.shape), taps)
+        band, z = basis.trial(np.array([pair.a1, pair.a2, gain]), noise, rotation, work.z)
         try:
             if method == "spatial":
                 _guard_band(band, truth.shape, carrier)

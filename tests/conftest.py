@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import psidemod as p
+from psidemod import metrics
 
 # the detuned schedule used across the pipeline tests
 FIXED_SCHEDULE = (0.0, 0.1, -0.15, 0.2, -0.05)
@@ -28,6 +29,12 @@ def make_ramp(width=4096, height=2, span=2 * np.pi):
     """Linear ramp covering [0, span) along x, constant along y."""
     row = span * np.arange(width) / width
     return p.PhaseMap(np.tile(row, (height, 1)))
+
+
+@pytest.fixture(autouse=True)
+def _no_cached_basis():
+    """Start every test without a cached Monte-Carlo trial basis."""
+    metrics._drop_basis()
 
 
 @pytest.fixture

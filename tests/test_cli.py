@@ -115,6 +115,31 @@ def test_simulate_carrier_echoed(tmp_path):
     assert sidecar["carrier"]["u0"] == pytest.approx(np.pi / 4)
 
 
+@pytest.mark.parametrize("row", [0, 31])
+def test_simulate_line_cut_row_on_the_map_edge(tmp_path, row):
+    code, _, err = run_cli(
+        "simulate", "--width", 32, "--height", 32, "--artifact-leak", 0.1,
+        "--line-cut-row", row, "--out", tmp_path / "x",
+    )
+    assert code == 0, err
+    assert (tmp_path / "x" / "error_cut.csv").read_text().count("\n") == 33
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--psa", "taps", "--psa-step", "pi/2"), "psa 'taps' requires --taps and --psa-step"),
+        (("--psa", "zeros", "--zeros", "0,pi/2,pi/2,pi"),
+         "psa 'zeros' requires --zeros and --psa-step"),
+    ],
+    ids=["taps", "step"],
+)
+def test_psa_without_its_taps_or_step_is_refused_by_name(tmp_path, args, message):
+    code, _, err = run_cli("demod", "--width", 32, "--height", 32, *args, "--out", tmp_path / "x")
+    assert code == 2 and message in err, err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("row", [99, -1])
 def test_simulate_line_cut_row_off_the_map_refused(tmp_path, row):
     code, _, err = run_cli(
@@ -601,6 +626,50 @@ def test_malformed_sidecar_refused(tmp_path, kind, broken):
     assert str(sidecar) in err
 
 
+@pytest.mark.parametrize(
+    "kind, broken, field",
+    [
+        ("stack", {"omega0": [1.0]}, "omega0"),
+        ("stack", {"a": [1]}, "a"),
+        ("stack", {"carrier": {"u0": [0.5], "v0": 0.0}}, "u0"),
+        ("stack", {"seed": [1]}, "seed"),
+        ("stack", {"noise_sigma": {}}, "noise_sigma"),
+        ("stack", {"seed": 1.5}, "seed"),
+        ("stack", {"b": True}, "b"),
+        ("stack", {"a": 10**400}, "a"),
+        ("stack", {"errors": [0.0, "0.1", 0.0, 0.0, 0.0]}, "errors"),
+        ("phase_map", {"wrapped": None}, "wrapped"),
+        ("phase_map", {"wrapped": "no"}, "wrapped"),
+    ],
+    ids=["omega0-list", "a-list", "carrier-u0-list", "seed-list", "noise-sigma-object",
+         "seed-fraction", "b-bool", "a-past-float", "errors-string", "wrapped-missing",
+         "wrapped-string"],
+)
+def test_sidecar_field_of_another_kind_is_refused_where_it_enters(tmp_path, kind, broken, field):
+    from psidemod.formats import dump_json, save_phase_map
+
+    truth = make_bandlimited((16, 16), pv=1.0, cycles=(1, 1))
+    if kind == "phase_map":
+        save_phase_map(tmp_path / "m", truth)
+        sidecar = tmp_path / "m.json"
+        argv = ("compare", "--phase1", sidecar, "--phase2", sidecar)
+    else:
+        stack = p.generate_stack(truth, 128.0, 100.0, np.pi / 2, 5, carrier=p.CarrierSpec(0.7),
+                                 seed=1)
+        save_stack(tmp_path, stack)
+        sidecar = tmp_path / "stack.json"
+        argv = ("demod", "--stack", sidecar)
+    meta = dict(read_json(sidecar), **broken)
+    dump_json(sidecar, {key: value for key, value in meta.items() if value is not None})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.txt").write_text("kept")
+    code, _, err = run_cli(*argv, "--out", out)
+    assert code == 2, err
+    assert f"{sidecar}" in err and f"field {field!r} must be" in err, err
+    assert dir_bytes(out) == {"kept.txt": b"kept"}
+
+
 def test_compare_requires_both_maps(tmp_path):
     code, _, err = run_cli("compare", "--out", tmp_path / "x")
     assert code == 2
@@ -635,7 +704,6 @@ def test_montecarlo_cli_on_the_cached_basis_writes_the_same_bytes(tmp_path):
     args = ("montecarlo", "--width", 48, "--height", 40, "--amplitude", 1.0,
             "--method", "spatial", "--carrier", "0.8,0.3", "--noise-sigma", 0.5,
             "--trials", 4, "--seed", 3)
-    metrics._drop_basis()
     with mock.patch.object(metrics, "_TrialBasis", wraps=metrics._TrialBasis) as built:
         for name in ("a", "b"):
             code, _, err = run_cli(*args, "--out", tmp_path / name)

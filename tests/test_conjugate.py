@@ -190,3 +190,37 @@ def test_measure_leak_shape_mismatch():
     truth = make_ramp(16)
     with pytest.raises(ValueError):
         p.measure_leak(field, truth)
+
+
+def test_measure_leak_names_a_shape_mismatch_of_equal_size():
+    # 8x4 against 4x8: the same pixel count, which vdot alone would accept
+    truth = p.PhaseMap(np.linspace(0.0, 6.0, 32).reshape(4, 8))
+    field = p.ComplexField(np.ones((8, 4), dtype=complex))
+    with pytest.raises(ValueError, match=r"field shape \(8, 4\) does not match truth shape"):
+        p.measure_leak(field, truth)
+
+
+def _gram_condition(truth):
+    """measure_leak's Gram condition number of e^{i phi} and e^{-i phi}."""
+    n_pix = float(truth.values.size)
+    gram = abs(complex(np.sum(np.exp(-2j * truth.values))))
+    return (n_pix + gram) / (n_pix - gram)
+
+
+def _narrow_ramp(span):
+    return p.PhaseMap(np.linspace(0.0, span, 1024).reshape(32, 32))
+
+
+def test_measure_leak_condition_limit_is_the_boundary(monkeypatch):
+    from psidemod import conjugate
+
+    field = p.ComplexField(np.ones((32, 32), dtype=complex))
+    below, above = _narrow_ramp(0.0035), _narrow_ramp(0.00342)
+    # 2.2% under and 2.4% over the limit: inside a 5% change of it either way
+    assert 0.97e6 < _gram_condition(below) < 1e6 < _gram_condition(above) < 1.03e6
+    p.measure_leak(field, below)
+    with pytest.raises(DegeneracyError, match="collinear"):
+        p.measure_leak(field, above)
+    # a condition equal to the limit is accepted
+    monkeypatch.setattr(conjugate, "_COND_LIMIT", _gram_condition(above))
+    p.measure_leak(field, above)

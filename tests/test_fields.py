@@ -54,6 +54,43 @@ def test_phase_map_validation():
         pm.values[0, 0] = 1.0
 
 
+@pytest.mark.parametrize(
+    "value, accepted",
+    [
+        (-np.pi - 1e-6, True),  # the slack itself
+        (-np.pi - 0.97e-6, True),
+        (-np.pi - 1.02e-6, False),
+        (np.pi + 1e-6, False),  # the slack itself
+        (np.pi + 0.97e-6, True),
+        (np.pi + 1.02e-6, False),
+    ],
+)
+def test_wrapped_phase_map_range_slack_is_the_boundary(value, accepted):
+    values = np.zeros((2, 2))
+    values[1, 0] = value
+    if accepted:
+        assert p.PhaseMap(values, wrapped=True).values[1, 0] == value
+    else:
+        with pytest.raises(ValueError, match=r"outside \[-pi, pi\)"):
+            p.PhaseMap(values, wrapped=True)
+
+
+@pytest.mark.parametrize("u0, v0", [(np.nan, 0.0), (0.5, np.inf), (-np.inf, 0.5)])
+def test_carrier_spec_names_a_non_finite_component(u0, v0):
+    with pytest.raises(ValueError, match="carrier frequency must be finite"):
+        p.CarrierSpec(u0, v0)
+
+
+def test_three_frames_are_the_fewest_a_stack_or_schedule_takes():
+    truth = p.synthesize_wavefront("defocus", 1.0, (8, 8))
+    assert p.generate_stack(truth, 128.0, 100.0, 2 * np.pi / 3, 3).n_frames == 3
+    assert p.make_error_schedule("uniform", 3, magnitude=0.1, seed=1).n_frames == 3
+    with pytest.raises(ValueError, match="stack needs at least 3 frames, got 2"):
+        p.generate_stack(truth, 128.0, 100.0, 2 * np.pi / 3, 2)
+    with pytest.raises(ValueError, match="schedule needs at least 3 frames, got 2"):
+        p.make_error_schedule("uniform", 2, magnitude=0.1, seed=1)
+
+
 def test_complex_field_validation():
     with pytest.raises(ValueError):
         p.ComplexField(np.full((4, 4), np.inf, dtype=complex))

@@ -348,7 +348,8 @@ def test_montecarlo_fallback_trial_leaves_no_stale_buffers(sh5, method):
     assert summary.n_failed == 0
     rows, cols = metrics._interior(truth.shape, crop)
     assert [psa._valid(np.abs(z))[rows, cols].all() for z, _ in seen] == [False] + [True] * 4
-    fresh = [original(z, reference, crop).pv for z, reference in seen]
+    fresh = [original(z, reference, crop, metrics._Workspace(z.shape, crop)).pv
+             for z, reference in seen]
     assert [pv.hex() for pv in summary.pv_waves] == [pv.hex() for pv in fresh]
     # and the untouched trials match the per-trial pipeline
     _, pvs, _ = _pipeline_trials(truth, sh5, method, carrier, mask, crop, 0.0, trials, 4)

@@ -329,7 +329,6 @@ def test_spatial_montecarlo_transforms_each_basis_field_once(sh5, monkeypatch, t
     carrier = p.CarrierSpec(0.8, 0.3)
     truth = p.synthesize_wavefront("defocus", 2.0, (48, 40))
     lines = _count_lines(monkeypatch)
-    metrics._drop_basis()  # count the build, not a basis cached by an earlier call
     summary = p.montecarlo_repeatability(truth, sh5, method="spatial", carrier=carrier,
                                          trials=trials)
     assert summary.trials == trials

@@ -5,6 +5,7 @@ Usage, from the repository root:
 
     python3 tools/refusal_mutants.py                    # every refusal
     python3 tools/refusal_mutants.py carrier.py:270 psa.py  # some of them
+    python3 tools/refusal_mutants.py --allow tools/refusal_mutants.allow  # as a gate
 
 A refusal is an ``if <condition>:`` whose body ends in ``raise``.  Each one
 gets these mutants of its condition:
@@ -26,8 +27,13 @@ errors (a test module that no longer imports included) or its run passes
 that the process may use; ``taskset`` narrows that.
 
 It prints one line per survivor, ``path:line: condition -> mutant (n tests)``,
-and a count on stderr.  It only reports: the exit status is 0 whatever it
-finds.  One run over the whole package took about 8 minutes on 2 CPUs.
+and a count on stderr.  It only reports, with exit status 0 whatever it
+finds, unless ``--allow`` names a file of accepted survivors: one
+``path: condition -> mutant  # reason`` a line, without the line number, so an
+entry stays put when lines move.  The exit status is then 1 when a survivor
+that the file does not name, or a mutant that errs, is left; entries that no
+longer survive are named on stderr.  One run over the whole package took
+about 8 minutes on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -185,10 +191,23 @@ def _selected(path: Path, line: int, only: list[str]) -> bool:
     return False
 
 
+def _allowed(path: Path) -> set[str]:
+    """The ``path: condition -> mutant`` entries of an allow file."""
+    entries = set()
+    for line in path.read_text().splitlines():
+        entry = line.partition("  # ")[0].strip()
+        if entry and not entry.startswith("#"):
+            entries.add(entry)
+    return entries
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("only", nargs="*", help="file.py or file.py:line of the ``if`` to mutate")
+    parser.add_argument("--allow", type=Path,
+                        help="file of accepted survivors; exit 1 on any other survivor or error")
     args = parser.parse_args()
+    allowed = set() if args.allow is None else _allowed(args.allow)
 
     candidates = [mutant for path in sorted(PACKAGE.glob("*.py")) for mutant in mutants(path)
                   if _selected(path, mutant.line, args.only)]
@@ -206,18 +225,29 @@ def main() -> int:
         return mutant, tests, _run(mutant, tests) if tests else "survived"
 
     counts: dict[str, int] = {}
+    surviving, unexpected = set(), []
     with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
         for mutant, tests, result in pool.map(outcome, candidates):
             kind = result.split(":")[0]
             counts[kind] = counts.get(kind, 0) + 1
             if result != "killed":
+                entry = f"{mutant.path.relative_to(ROOT)}: {mutant.original} -> {mutant.mutated}"
                 where = f"{mutant.path.relative_to(ROOT)}:{mutant.line}"
                 note = "" if result == "survived" else f" [{result}]"
                 print(f"{where}: {mutant.original} -> {mutant.mutated} ({len(tests)} tests){note}",
                       flush=True)
+                surviving.add(entry)
+                if result != "survived" or entry not in allowed:
+                    unexpected.append(f"{where}{note}")
     summary = ", ".join(f"{count} {kind}" for kind, count in sorted(counts.items()))
     print(f"{len(candidates)} mutants of refusals in src/psidemod: {summary}", file=sys.stderr)
-    return 0
+    if args.allow is None:
+        return 0
+    for entry in sorted(allowed - surviving):
+        print(f"allowed, but killed or not run: {entry}", file=sys.stderr)
+    for where in unexpected:
+        print(f"not allowed: {where}", file=sys.stderr)
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":
