@@ -43,6 +43,7 @@ from .fields import (
     wrap,
 )
 from .formats import (
+    _FIELD_KINDS,
     dump_json,
     export_spectrum,
     load_json,
@@ -121,7 +122,7 @@ def parse_angle_list(text):
 
 def parse_coefficients(text):
     value = json.loads(str(text))
-    if not isinstance(value, list):
+    if not _FIELD_KINDS["a nested list of numbers"](value):
         raise ValueError(f"coefficients must be a JSON nested list, got {text!r}")
     return value
 
@@ -284,33 +285,21 @@ PRESETS = {
 }
 
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _numbers(value, count=None) -> bool:
-    return isinstance(value, list) and all(map(_number, value)) and count in (None, len(value))
-
-
-# what each row type parses to, for values that arrive already parsed
-# (config numbers and lists, manifests, flags): (test, description); a
-# row whose default is null also takes null
-_PARSED = {
-    int: (lambda v: _number(v) and isinstance(v, int), "an integer"),
-    float: (_number, "a number"),
-    parse_angle: (_number, "a number"),
-    parse_carrier: (lambda v: v is None or _numbers(v, 2), "null or a [u0, v0] pair"),
-    parse_demod_carrier: (lambda v: _numbers(v, 2), "a [u0, v0] pair"),
-    parse_float_list: (_numbers, "a list of numbers"),
-    parse_angle_list: (_numbers, "a list of numbers"),
-    parse_coefficients: (lambda v: isinstance(v, list), "a nested list"),
-    None: (lambda v: isinstance(v, str), "a string"),
+# the value kind (formats._FIELD_KINDS) that each row's parser, or its
+# switch, gives: a value that arrives already parsed must be of it
+_KINDS = {
+    int: "an integer", float: "a number", parse_angle: "a number",
+    parse_carrier: "a [u0, v0] pair", parse_demod_carrier: "a [u0, v0] pair",
+    parse_float_list: "a list of numbers", parse_angle_list: "a list of numbers",
+    parse_coefficients: "a nested list of numbers",
+    argparse.BooleanOptionalAction: "true or false", None: "a string",
 }
 
 
 def _merge(command: str, params: dict, given: dict, source: str) -> dict:
     """Override ``params`` with ``given``: strings go through each row's
-    parser, other values must already have the shape that parser gives."""
+    parser, other values must already be of the kind that parser gives, or
+    null where the command's default is null."""
     if not isinstance(given, dict):
         raise ValueError(f"{source} must be a JSON object of parameters, got {type(given).__name__}")
     unknown = set(given) - set(DEFAULTS[command])
@@ -319,15 +308,13 @@ def _merge(command: str, params: dict, given: dict, source: str) -> dict:
     for name, value in given.items():
         keywords = PARAMETERS[name][1]
         parse = keywords.get("type")
-        if "action" in keywords:
-            if not isinstance(value, bool):
-                raise ValueError(f"{source} sets switch {name!r} to {value!r}, not true or false")
-        elif isinstance(value, str) and parse is not None:
+        optional = DEFAULTS[command][name] is None
+        kind = _KINDS[parse or keywords.get("action")]
+        if isinstance(value, str) and parse is not None:
             value = parse(value)
-        elif not (value is None and DEFAULTS[command][name] is None):
-            test, kind = _PARSED[parse]
-            if not test(value):
-                raise ValueError(f"{source} sets {name!r} to {value!r}, not {kind}")
+        elif not (value is None and optional or _FIELD_KINDS[kind](value)):
+            what = f"switch {name!r}" if "action" in keywords else repr(name)
+            raise ValueError(f"{source} sets {what} to {value!r}, not {'null or ' if optional else ''}{kind}")
         choices = keywords.get("choices")
         if choices is not None and value not in choices:
             raise ValueError(f"{source} sets {name!r} to {value!r}, not one of {choices}")

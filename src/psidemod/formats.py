@@ -63,12 +63,17 @@ def read_f32(path, shape) -> np.ndarray:
 
 
 def _read_raw(path, shape, dtype: np.dtype) -> np.ndarray:
+    return np.fromfile(_sized(path, shape, dtype), dtype=dtype).reshape(shape)
+
+
+def _sized(path, shape, dtype: np.dtype) -> Path:
+    """``path``, refused unless its raw file holds exactly ``shape`` of ``dtype``."""
     path = Path(path)
     expected = int(np.prod(shape))
-    data = np.fromfile(path, dtype=dtype)
-    if data.size != expected:
-        raise ValueError(f"{path} holds {data.size} {dtype.name} values, expected {expected}")
-    return data.reshape(shape)
+    size = path.stat().st_size
+    if size != expected * dtype.itemsize:
+        raise ValueError(f"{path} holds {size} bytes, expected {expected} {dtype.name} values")
+    return path
 
 
 # the suffix of a raw grid file names its dtype
@@ -91,14 +96,19 @@ def _is_number(value) -> bool:
     return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
-# what a sidecar field of each kind accepts
+# what a value of each kind accepts: a sidecar field, or a CLI parameter
+# that arrives already parsed (a config, manifest or flag value)
 _FIELD_KINDS = {
     "a positive integer": lambda value: type(value) is int and value >= 1,
     "an integer": lambda value: type(value) is int,
     "a number": _is_number,
     "a list of numbers": lambda value: type(value) is list and all(map(_is_number, value)),
+    "a [u0, v0] pair": lambda value: _FIELD_KINDS["a list of numbers"](value) and len(value) == 2,
+    "a nested list of numbers": lambda value: type(value) is list and all(
+        _is_number(item) or _FIELD_KINDS["a nested list of numbers"](item) for item in value),
     "true or false": lambda value: type(value) is bool,
     "an object": lambda value: type(value) is dict,
+    "a string": lambda value: type(value) is str,
 }
 
 
@@ -187,20 +197,20 @@ def load_stack(sidecar_path) -> InterferogramStack:
     width, height, n_frames = (_field(sidecar, meta, key, "a positive integer")
                                for key in ("width", "height", "N"))
     omega0 = _field(sidecar, meta, "omega0", "a number")
-    stem = sidecar.stem
-    frames = np.empty((n_frames, height, width))
+    files = []
     for index in range(n_frames):
-        raw = sidecar.parent / f"{stem}_{index:03d}.f32"
-        pgm = sidecar.parent / f"{stem}_{index:03d}.pgm"
-        if raw.exists():
-            frames[index] = read_f32(raw, (height, width))
-        elif pgm.exists():
-            image = read_pgm(pgm)
-            if image.shape != (height, width):
-                raise ValueError(f"{pgm} is {image.shape[1]}x{image.shape[0]}, sidecar says {width}x{height}")
-            frames[index] = image
-        else:
+        raw = sidecar.parent / f"{sidecar.stem}_{index:03d}.f32"
+        pgm = raw.with_suffix(".pgm")
+        if not (raw.exists() or pgm.exists()):
             raise FileNotFoundError(f"frame {index} of {sidecar} not found ({raw.name} or {pgm.name})")
+        files.append(_sized(raw, (height, width), np.dtype("<f4")) if raw.exists() else pgm)
+    # every frame is found, and every raw one sized, before the stack is allocated
+    frames = np.empty((n_frames, height, width))
+    for index, path in enumerate(files):
+        image = read_f32(path, (height, width)) if path.suffix == ".f32" else read_pgm(path)
+        if image.shape != (height, width):
+            raise ValueError(f"{path} is {image.shape[1]}x{image.shape[0]}, sidecar says {width}x{height}")
+        frames[index] = image
 
     carrier = _field(sidecar, meta, "carrier", "an object", optional=True)
     if carrier is not None:

@@ -876,6 +876,15 @@ def test_config_strings_go_through_the_flag_parser(tmp_path, key, text, parsed):
         ({"errors": 0.3}, "config file sets 'errors' to 0.3, not a string"),
         ({"contrast": None}, "config file sets 'contrast' to None, not a number"),
         ({"coefficients": "3"}, "coefficients must be a JSON nested list, got '3'"),
+        # an integer past the float range is not a number
+        *(pytest.param({key: 10**400}, f"config file sets {key!r} to {10**400}, not a number",
+                       id=f"{key}-past-float") for key in ("amplitude", "background", "omega0")),
+        pytest.param({"carrier": [10**400, 0.0]},
+                     f"config file sets 'carrier' to [{10**400}, 0.0], not null or a [u0, v0] pair",
+                     id="carrier-past-float"),
+        pytest.param({"wavefront": "polynomial", "coefficients": [[0.0, 10**400]]},
+                     f"config file sets 'coefficients' to [[0.0, {10**400}]], "
+                     "not null or a nested list of numbers", id="coefficients-past-float"),
     ],
 )
 def test_config_malformed_values_refused(tmp_path, payload, message):
@@ -900,6 +909,10 @@ def test_config_malformed_values_refused(tmp_path, payload, message):
         ({"command": "simulate", "parameters": {"height": 32.5}},
          "manifest sets 'height' to 32.5, not an integer"),
         ({"command": "fly", "parameters": {}}, "manifest names unknown command 'fly'"),
+        pytest.param({"command": "ftf",
+                      "parameters": {"psa": "taps", "taps": [10**400, 1.0], "psa_step": 1.5}},
+                     f"manifest sets 'taps' to [{10**400}, 1.0], not null or a list of numbers",
+                     id="taps-past-float"),
     ],
 )
 def test_replay_of_a_malformed_manifest_refused(tmp_path, manifest, message):

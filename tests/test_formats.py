@@ -1,6 +1,7 @@
 """Round trips and byte-level determinism of the on-disk formats."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,24 @@ def test_stack_missing_frame(tmp_path):
     )
     with pytest.raises(FileNotFoundError):
         load_stack(tmp_path / "gone.json")
+
+
+@pytest.mark.parametrize("frame_bytes, error", [(None, FileNotFoundError), (4, ValueError)],
+                         ids=["missing", "short"])
+def test_stack_frames_are_checked_before_the_stack_is_allocated(tmp_path, frame_bytes, error):
+    # the stack the sidecar describes would take 96 MiB
+    dump_json(tmp_path / "big.json", {"width": 2048, "height": 2048, "N": 3, "omega0": 1.5})
+    if frame_bytes is not None:
+        for index in range(3):
+            (tmp_path / f"big_{index:03d}.f32").write_bytes(bytes(frame_bytes))
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            load_stack(tmp_path / "big.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_stack_loads_pgm_frames(tmp_path):

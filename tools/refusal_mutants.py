@@ -16,15 +16,18 @@ gets these mutants of its condition:
   1.05 and times 0.95; an index inside a subscript is left alone;
 * the condition removed: the refusal never fires.
 
-The tier-1 suite first runs once under the line tracer of
+The package, the tests and ``pyproject.toml`` (the pytest settings) are first
+copied into a temporary snapshot, and the run reads and mutates only that, so
+an edit to the working tree while it runs changes nothing it checks.  The
+snapshot's tier-1 suite runs once under the line tracer of
 ``tools/untested_statements.py``, which records the tests that reach each
-line.  Each mutant then runs, in a fresh copy of the package, only the tests
-that reach its ``if``: those that reach the ``raise`` first, then the rest,
-stopping at the first failure (``pytest -x``).  Tests that already fail on
-the unmutated code are left out.  A mutant is killed when a test fails or
-errors (a test module that no longer imports included) or its run passes
-``_TIMEOUT_S``, and survives when every test passes.  Mutants run one per CPU
-that the process may use; ``taskset`` narrows that.
+line.  Each mutant then runs, in a fresh copy of the snapshot's package, only
+the tests that reach its ``if``: those that reach the ``raise`` first, then
+the rest, stopping at the first failure (``pytest -x``).  Tests that already
+fail on the unmutated code are left out.  A mutant is killed when a test
+fails or errors (a test module that no longer imports included) or its run
+passes ``_TIMEOUT_S``, and survives when every test passes.  Mutants run one
+per CPU that the process may use; ``taskset`` narrows that.
 
 It prints one line per survivor, ``path:line: condition -> mutant (n tests)``,
 and a count on stderr.  It only reports, with exit status 0 whatever it
@@ -156,16 +159,25 @@ def mutants(path: Path):
                          original, mutated, _splice(source, node.test, f"({mutated})"))
 
 
-def _run(mutant: Mutant, tests: list[str]) -> str:
-    """'killed', 'survived' or 'error: ...' for one mutant."""
+def _snapshot(root: Path) -> Path:
+    """Copy the package, the tests and the pytest settings into ``root``."""
+    ignore = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(PACKAGE, root / PACKAGE.relative_to(ROOT), ignore=ignore)
+    shutil.copytree(ROOT / "tests", root / "tests", ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", root)
+    return root
+
+
+def _run(mutant: Mutant, tests: list[str], root: Path) -> str:
+    """'killed', 'survived' or 'error: ...' for one mutant of the snapshot at ``root``."""
     with tempfile.TemporaryDirectory() as scratch:
         package = Path(scratch) / PACKAGE.name
-        shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(mutant.path.parent, package, ignore=shutil.ignore_patterns("__pycache__"))
         (package / mutant.path.name).write_text(mutant.source)
         env = dict(os.environ, PYTHONPATH=scratch, OPENBLAS_NUM_THREADS="1",
                    OMP_NUM_THREADS="1")
         command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                   "--hypothesis-seed", "0", *(f"{ROOT}/{test}" for test in tests)]
+                   "--hypothesis-seed", "0", *(f"{root}/{test}" for test in tests)]
         try:
             # the scratch directory as cwd keeps the hypothesis database out of the tree
             result = subprocess.run(command, cwd=scratch, env=env, capture_output=True,
@@ -207,11 +219,17 @@ def main() -> int:
     parser.add_argument("--allow", type=Path,
                         help="file of accepted survivors; exit 1 on any other survivor or error")
     args = parser.parse_args()
-    allowed = set() if args.allow is None else _allowed(args.allow)
+    with tempfile.TemporaryDirectory() as scratch:
+        return _check(_snapshot(Path(scratch)), args)
 
-    candidates = [mutant for path in sorted(PACKAGE.glob("*.py")) for mutant in mutants(path)
+
+def _check(root: Path, args) -> int:
+    """Mutate the refusals of the snapshot at ``root``, and report or gate as ``args`` ask."""
+    allowed = set() if args.allow is None else _allowed(args.allow)
+    package = root / PACKAGE.relative_to(ROOT)
+    candidates = [mutant for path in sorted(package.glob("*.py")) for mutant in mutants(path)
                   if _selected(path, mutant.line, args.only)]
-    executed, failing = trace_tier1()
+    executed, failing = trace_tier1(root)
 
     def tests_for(mutant: Mutant) -> list[str]:
         lines = executed[str(mutant.path)]
@@ -222,7 +240,7 @@ def main() -> int:
 
     def outcome(mutant: Mutant):
         tests = tests_for(mutant)
-        return mutant, tests, _run(mutant, tests) if tests else "survived"
+        return mutant, tests, _run(mutant, tests, root) if tests else "survived"
 
     counts: dict[str, int] = {}
     surviving, unexpected = set(), []
@@ -231,8 +249,8 @@ def main() -> int:
             kind = result.split(":")[0]
             counts[kind] = counts.get(kind, 0) + 1
             if result != "killed":
-                entry = f"{mutant.path.relative_to(ROOT)}: {mutant.original} -> {mutant.mutated}"
-                where = f"{mutant.path.relative_to(ROOT)}:{mutant.line}"
+                entry = f"{mutant.path.relative_to(root)}: {mutant.original} -> {mutant.mutated}"
+                where = f"{mutant.path.relative_to(root)}:{mutant.line}"
                 note = "" if result == "survived" else f" [{result}]"
                 print(f"{where}: {mutant.original} -> {mutant.mutated} ({len(tests)} tests){note}",
                       flush=True)

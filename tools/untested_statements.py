@@ -97,12 +97,13 @@ class _CurrentTest:
             self.failed.add(report.nodeid)
 
 
-def trace_tier1() -> tuple[dict[str, dict[int, set[str]]], set[str]]:
-    """Run the tier-1 suite under a line tracer.  Returns, for each package
-    file, the lines it executed, each with the ids of the tests that reached
-    it ("" for lines run outside any test), and the ids of the tests that
-    failed."""
-    targets = {str(path): defaultdict(set) for path in PACKAGE.glob("*.py")}
+def trace_tier1(root: Path = ROOT) -> tuple[dict[str, dict[int, set[str]]], set[str]]:
+    """Run the tier-1 suite of the tree at ``root`` (its ``src/psidemod`` and
+    ``tests``) under a line tracer.  Returns, for each package file, the lines
+    it executed, each with the ids of the tests that reached it ("" for lines
+    run outside any test), and the ids of the tests that failed."""
+    package = root / PACKAGE.relative_to(ROOT)
+    targets = {str(path): defaultdict(set) for path in package.glob("*.py")}
     current = _CurrentTest()
 
     def local(frame, event, arg):
@@ -117,12 +118,12 @@ def trace_tier1() -> tuple[dict[str, dict[int, set[str]]], set[str]]:
         lines[frame.f_lineno].add(current.nodeid)
         return local
 
-    sys.path.insert(0, str(PACKAGE.parent))
+    sys.path.insert(0, str(package.parent))
     sys.settrace(tracer)
     try:
         with contextlib.redirect_stdout(sys.stderr):
             pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed", "0",
-                         "--continue-on-collection-errors", str(ROOT / "tests")],
+                         "--continue-on-collection-errors", str(root / "tests")],
                         plugins=[current])
     finally:
         sys.settrace(None)
