@@ -23,7 +23,7 @@ from .fields import (
     wrap,
 )
 from .conjugate import conjugate_amplitudes
-from .psa import PsaSpec, _contract, _valid
+from .psa import PsaSpec, _angle, _contract, _valid
 
 # a piston-removed residual spanning nearly the full cycle means the
 # difference still contains wraps, which piston/tilt fitting cannot see past
@@ -99,15 +99,19 @@ def remove_piston_tilt(diff: PhaseMap, crop: int = 0, tilt: bool = True):
     """
     rows, cols = _interior(diff.shape, crop)
     interior = diff.values[rows, cols]
-    residual, report = _piston_tilt(diff.values, diff.wrapped, [np.cos(interior), np.sin(interior)],
-                                    (rows, cols), crop, tilt)
+    trig = [np.cos(interior), np.sin(interior)]
+    residual, piston, plane = _piston_tilt(diff.values, diff.wrapped, trig, (rows, cols), tilt)
+    pv, rms = _pv_rms(residual[rows, cols])
+    report = PhaseDiffReport(pv=pv, rms=rms, piston_removed=float(wrap(piston)),
+                             tilt_removed=plane, crop=int(crop))
     return PhaseMap(_Owned(residual), wrapped=True), report
 
 
-def _piston_tilt(values, wrapped, trig, interior, crop, tilt, out=None):
+def _piston_tilt(values, wrapped, trig, interior, tilt, out=None):
     """:func:`remove_piston_tilt` from the first piston on, given ``trig``, the list
-    [cos, sin] of ``values`` over the (rows, cols) ``interior``, which it empties so
-    the two free early; levels into ``out`` (may be ``values``); returns residual, report."""
+    [cos, sin] of ``values`` over the (rows, cols) ``interior``, which it empties so the
+    two free early; levels into ``out`` (may be ``values``).  Returns the residual over
+    ``values``' grid, the piston removed (both pistons' sum, unwrapped) and (alpha, beta)."""
     cos, sin = trig
     trig.clear()
     rows, cols = interior
@@ -139,23 +143,16 @@ def _piston_tilt(values, wrapped, trig, interior, crop, tilt, out=None):
     row_sums = (cos @ ex.real - sin @ ex.imag) + 1j * (cos @ ex.imag + sin @ ex.real)
     total = np.exp(-1j * piston1) * (np.exp(-1j * beta * y_in) @ row_sums)
     piston2 = float(np.angle(total))
-    # free the interior-sized arrays before a full-size wrap and the std
+    # free the interior-sized arrays before a full-size wrap
     del cos, sin
 
     leveled -= alpha * x[None, :]
     leveled -= (beta * y + piston2)[:, None]
     # wrap is the identity bit for bit on [-pi, pi), so only a residual
-    # that left it is wrapped; an unwrapped whole-grid interior keeps its span
-    low, high = leveled.min(), leveled.max()
-    in_range = -np.pi <= low and high < np.pi
+    # that left it is wrapped
+    in_range = -np.pi <= leveled.min() and leveled.max() < np.pi
     residual = leveled if in_range else wrap(leveled)
-    span = high - low if in_range and residual[rows, cols].size == residual.size else None
-    piston = float(wrap(piston1 + piston2))
-
-    pv, rms = _pv_rms(residual[rows, cols], span)
-    report = PhaseDiffReport(pv=pv, rms=rms, piston_removed=piston, tilt_removed=(alpha, beta),
-                             crop=int(crop))
-    return residual, report
+    return residual, piston1 + piston2, (alpha, beta)
 
 
 class _Workspace:
@@ -170,30 +167,27 @@ class _Workspace:
         self.mask = np.empty(inner, bool)
 
 
-def _phasor_report(z, reference, crop, work):
-    """``remove_piston_tilt(wrapped_diff(field_phase(F), reference), crop)``'s
-    report from ``z = F e^{-i reference}``: on the interior, angle(z) is the
-    difference and z/|z| its cos and sin, with trig only if a pixel is invalid;
-    all its arrays go into ``work``, a :class:`_Workspace` of ``z``'s shape and ``crop``."""
+def _trial_residual(z, reference, work):
+    """:func:`_piston_tilt`'s terms, over the interior, of ``remove_piston_tilt(wrapped_diff(
+    field_phase(F), reference), crop)`` from ``z = F e^{-i reference}``: there, angle(z) is
+    the difference and z/|z| its cos and sin, with trig only if a pixel is invalid; all
+    its arrays go into ``work``, a :class:`_Workspace` of ``z``'s shape and the crop."""
     rows, cols = work.interior
     np.abs(z, out=work.modulus)
     z, modulus = z[rows, cols], work.modulus[rows, cols]
-    # np.angle's own formula, in [-pi, pi]; +pi maps to -pi as in field_phase
-    diff = np.arctan2(z.imag, z.real, out=work.angle)
-    np.copyto(diff, -np.pi, where=np.equal(diff, np.pi, out=work.mask))
+    diff = _angle(z, out=work.angle)
     valid = _valid(work.modulus, (rows, cols), out=work.mask)
     if valid.all():
         trig = [np.divide(z.real, modulus, out=work.cos), np.divide(z.imag, modulus, out=work.sin)]
     else:
         diff[~valid] = fold(-reference[rows, cols][~valid])
         trig = [np.cos(diff, out=work.cos), np.sin(diff, out=work.sin)]
-    return _piston_tilt(diff, True, trig, (slice(None),) * 2, crop, True, out=diff)[1]
+    return _piston_tilt(diff, True, trig, (slice(None),) * 2, True, out=diff)
 
 
-def _pv_rms(interior, span=None):
-    """Peak-to-valley and RMS of ``interior`` in waves, given its max - min if known."""
-    span = interior.max() - interior.min() if span is None else span
-    return float(span / TWO_PI), float(interior.std() / TWO_PI)
+def _pv_rms(interior):
+    """Peak-to-valley and RMS of ``interior`` in waves."""
+    return float((interior.max() - interior.min()) / TWO_PI), float(interior.std() / TWO_PI)
 
 
 def pv_rms(phase_map: PhaseMap, crop: int = 0):
@@ -393,8 +387,12 @@ def montecarlo_repeatability(
     _interior(truth.shape, crop)
     background, contrast, noise_sigma = _synthesis_scalars(background, contrast, spec.n_steps,
                                                            noise_sigma)
+    try:
+        children = np.random.SeedSequence(seed).spawn(trials)
+    except OverflowError:  # spawn counts in a C ssize_t
+        raise ValueError(f"trials {trials} is more than one seed can spawn") from None
     draws = []
-    for child in np.random.SeedSequence(seed).spawn(trials):
+    for child in children:
         schedule_seed, noise_seed = child.spawn(2)
         schedule = make_error_schedule(error_kind, spec.n_steps, magnitude=error_magnitude,
                                        nominal_step=spec.nominal_step, seed=schedule_seed)
@@ -416,11 +414,11 @@ def montecarlo_repeatability(
         try:
             if method == "spatial":
                 _guard_band(band, truth.shape, carrier)
-            report = _phasor_report(z, basis.reference, crop, work)
+            residual = _trial_residual(z, basis.reference, work)[0]
         except (RefusalError, DegeneracyError) as exc:
             failures.append((index, str(exc)))
             continue
-        pvs.append(report.pv)
+        pvs.append(float((residual.max() - residual.min()) / TWO_PI))
         ratios.append(pair.leak_ratio)
 
     if pvs:

@@ -207,6 +207,13 @@ def _valid(modulus, region=..., out=None):
     return np.greater_equal(modulus[region], floor, out=out)
 
 
+def _angle(values, out=None):
+    """np.angle(values), i.e. arctan2(imag, real), into ``out`` if given; +pi maps to -pi."""
+    phase = np.arctan2(values.imag, values.real, out=out)
+    phase[phase == np.pi] = -np.pi
+    return phase
+
+
 def field_phase(field: ComplexField):
     """Extract wrapped phase from a complex field.
 
@@ -222,8 +229,6 @@ def field_phase(field: ComplexField):
     modulus = np.abs(field.values)
     valid = _valid(modulus)
     del modulus  # released before the phase array is allocated
-    # np.angle lies in [-pi, pi]; only +pi needs mapping into [-pi, pi)
-    phase = np.angle(field.values)
-    phase[phase == np.pi] = -np.pi
+    phase = _angle(field.values)
     phase[~valid] = 0.0
     return PhaseMap(_Owned(phase), wrapped=True), valid

@@ -374,6 +374,9 @@ def test_demod_bad_parameters_exit_2(tmp_path):
         (("montecarlo", "--method", "spatial", "--wavefront", "tilt", "--amplitude", 31.5,
           "--width", 64, "--height", 64, "--carrier", 0.25, "--cutoff", 0.1, "--border-crop", 0),
          "carrier magnitude 0.25 rad/px must exceed the maximum wavefront slope 0.5 rad/px"),
+        # more trials than one seed can spawn children for
+        (("montecarlo", "--width", 64, "--height", 64, "--trials", 2**70),
+         "trials 1180591620717411303424 is more than one seed can spawn"),
     ],
 )
 def test_parameter_refusals_write_nothing(tmp_path, monkeypatch, args, message):

@@ -1,6 +1,7 @@
 """Residual reporting and Monte-Carlo repeatability."""
 
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -293,13 +294,13 @@ def _montecarlo_fields(truth, spec, **kwargs):
     of each trial's demodulated field F, as handed to the compare: copied,
     since every trial of a call writes its z into the same buffer."""
     fields = []
-    original = metrics._phasor_report
+    original = metrics._trial_residual
 
     def spy(z, *args):
         fields.append(z.copy())
         return original(z, *args)
 
-    with mock.patch.object(metrics, "_phasor_report", spy):
+    with mock.patch.object(metrics, "_trial_residual", spy):
         summary = p.montecarlo_repeatability(truth, spec, **kwargs)
     return summary, fields
 
@@ -307,13 +308,13 @@ def _montecarlo_fields(truth, spec, **kwargs):
 def test_montecarlo_reuses_one_workspace_per_call(sh5):
     truth = p.synthesize_wavefront("defocus", 3.0, (40, 48))
     calls = []
-    original = metrics._phasor_report
+    original = metrics._trial_residual
 
     def spy(z, *args):
         calls[-1].append(z)
         return original(z, *args)
 
-    with mock.patch.object(metrics, "_phasor_report", spy):
+    with mock.patch.object(metrics, "_trial_residual", spy):
         for _ in range(2):
             calls.append([])
             p.montecarlo_repeatability(truth, sh5, trials=4, seed=2)
@@ -322,6 +323,24 @@ def test_montecarlo_reuses_one_workspace_per_call(sh5):
     assert all(np.shares_memory(z, first[0]) for z in first)
     assert all(np.shares_memory(z, second[0]) for z in second)
     assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+
+def test_montecarlo_warmed_trials_allocate_nothing_of_interior_size(sh5):
+    # on a cached basis a call allocates its workspace and, per trial, only
+    # fold's and the angle rule's boolean masks: under half an interior
+    truth = p.synthesize_wavefront("defocus", 3.0, (256, 256))
+    kwargs = dict(trials=2, seed=5, crop=0)
+    p.montecarlo_repeatability(truth, sh5, **kwargs)  # builds the basis
+    workspace = sum(a.nbytes for a in vars(metrics._Workspace(truth.shape, 0)).values()
+                    if isinstance(a, np.ndarray))
+    tracemalloc.start()
+    try:
+        summary = p.montecarlo_repeatability(truth, sh5, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.n_failed == 0
+    assert peak - workspace <= truth.values.nbytes // 2, f"{(peak - workspace) / 1024:.0f} KiB"
 
 
 @pytest.mark.parametrize("method", ["temporal", "spatial"])
@@ -334,7 +353,7 @@ def test_montecarlo_fallback_trial_leaves_no_stale_buffers(sh5, method):
     mask = p.SpectralMask(0.35, border_crop=4) if method == "spatial" else None
     crop, trials = 4, 5
     seen = []
-    original = metrics._phasor_report
+    original = metrics._trial_residual
 
     def spy(z, reference, *args):
         if not seen:
@@ -342,14 +361,15 @@ def test_montecarlo_fallback_trial_leaves_no_stale_buffers(sh5, method):
         seen.append((z.copy(), reference))
         return original(z, reference, *args)
 
-    with mock.patch.object(metrics, "_phasor_report", spy):
+    with mock.patch.object(metrics, "_trial_residual", spy):
         summary = p.montecarlo_repeatability(truth, sh5, method=method, carrier=carrier,
                                              mask=mask, trials=trials, seed=4, crop=crop)
     assert summary.n_failed == 0
     rows, cols = metrics._interior(truth.shape, crop)
     assert [psa._valid(np.abs(z))[rows, cols].all() for z, _ in seen] == [False] + [True] * 4
-    fresh = [original(z, reference, crop, metrics._Workspace(z.shape, crop)).pv
-             for z, reference in seen]
+    residuals = [original(z, reference, metrics._Workspace(z.shape, crop))[0]
+                 for z, reference in seen]
+    fresh = [float((r.max() - r.min()) / (2 * np.pi)) for r in residuals]
     assert [pv.hex() for pv in summary.pv_waves] == [pv.hex() for pv in fresh]
     # and the untouched trials match the per-trial pipeline
     _, pvs, _ = _pipeline_trials(truth, sh5, method, carrier, mask, crop, 0.0, trials, 4)
@@ -458,17 +478,21 @@ def test_montecarlo_superposition_matches_pipeline(height, width, angle, speed, 
         (dict(method="spatial", mask=p.SpectralMask(np.pi / 4)),
          "mask cutoff 0.785398 rad/px must stay below the carrier magnitude 0.785398 rad/px"),
         (dict(method="spatial", error_kind="bogus"), "unknown error-schedule kind 'bogus'"),
+        # past the C ssize_t count of SeedSequence.spawn
+        (dict(method="temporal", trials=2**70),
+         "trials 1180591620717411303424 is more than one seed can spawn"),
     ],
-    ids=["spatial-40", "spatial-None", "temporal-32", "cutoff-at-carrier", "bogus-errors"],
+    ids=["spatial-40", "spatial-None", "temporal-32", "cutoff-at-carrier", "bogus-errors",
+         "trials-2**70"],
 )
 def test_montecarlo_refuses_before_the_basis(sh5, kwargs, message):
     # what no trial can change refuses before the basis is built, not once per trial
     truth = p.synthesize_wavefront("defocus", 1.0, (64, 64))
-    kwargs = {"carrier": p.CarrierSpec(np.pi / 4), **kwargs}
+    kwargs = {"carrier": p.CarrierSpec(np.pi / 4), "trials": 2, **kwargs}
     # _trial_basis runs on every call, cached basis or not
     with mock.patch.object(metrics, "_trial_basis", side_effect=AssertionError) as build:
         with pytest.raises(ValueError, match=re.escape(message)):
-            p.montecarlo_repeatability(truth, sh5, trials=2, **kwargs)
+            p.montecarlo_repeatability(truth, sh5, **kwargs)
     assert build.call_count == 0
 
 
