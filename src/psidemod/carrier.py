@@ -30,7 +30,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DegeneracyError, RefusalError
-from .fields import TWO_PI, CarrierSpec, ComplexField, InterferogramStack, _Owned, _peak
+from .fields import (TWO_PI, CarrierSpec, ComplexField, InterferogramStack, _count, _Owned, _peak,
+                     _real)
 from .psa import PsaSpec, demodulate_temporal, field_phase
 
 # spectral magnitude at this fraction of the signal peak still counts as
@@ -133,15 +134,11 @@ class SpectralMask:
     border_crop: int | None = None
 
     def __post_init__(self):
-        cutoff = float(self.cutoff)
-        if not np.isfinite(cutoff) or not 0.0 < cutoff <= np.pi:
+        cutoff = _real(self.cutoff, "cutoff")
+        if not 0.0 < cutoff <= np.pi:
             raise ValueError(f"cutoff must lie in (0, pi], got {cutoff!r}")
         crop = self.border_crop
-        if crop is None:
-            crop = math.ceil(TWO_PI / cutoff)
-        crop = int(crop)
-        if crop < 0:
-            raise ValueError(f"border crop must be >= 0, got {crop}")
+        crop = math.ceil(TWO_PI / cutoff) if crop is None else _count(crop, "border crop", 0)
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "border_crop", crop)
 
@@ -311,7 +308,7 @@ def _energy_fraction(admitted: np.ndarray, values: np.ndarray) -> float:
     which is exact, so the fraction keeps the bits it would have."""
     with np.errstate(over="ignore"):
         kept = np.sum(np.abs(admitted) ** 2)
-    total = values.size * np.vdot(values, values).real
+        total = values.size * np.vdot(values, values).real
     # the guard refuses an all-zero field, so a total below this underflowed too
     if not (np.isfinite(kept) and _UNDERFLOW_FREE <= total < np.inf
             and (kept >= _UNDERFLOW_FREE or not admitted.any())):

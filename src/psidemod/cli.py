@@ -12,8 +12,8 @@ the manifest and ``--config`` key ``x_y``.  Values resolve as command
 default, then preset, then config file, then the flags actually given, so a
 flag that parses to ``None`` (``--carrier none``) still overrides.
 
-Exit codes: 0 success, 2 precondition refusal or bad parameters,
-3 numerical degeneracy, 4 I/O failure.
+Exit codes: 0 success, 2 precondition refusal, bad parameters or a request
+too large to allocate, 3 numerical degeneracy, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -570,7 +570,7 @@ def main(argv=None) -> int:
     except DegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except ValueError as exc:  # RefusalError included
+    except (ValueError, MemoryError) as exc:  # RefusalError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except OSError as exc:

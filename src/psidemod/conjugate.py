@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, RefusalError
-from .fields import TWO_PI, ComplexField, ErrorSchedule, PhaseMap, _overflowed, wrap
+from .fields import (TWO_PI, ComplexField, ErrorSchedule, PhaseMap, _converted, _overflowed, _real,
+                     wrap)
 from .psa import PsaSpec
 
 # measure_leak refuses a fit whose Gram condition number exceeds this
@@ -40,8 +41,8 @@ class ConjugatePair:
     a2: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "a1", complex(self.a1))
-        object.__setattr__(self, "a2", complex(self.a2))
+        object.__setattr__(self, "a1", _converted(complex, self.a1, "A1"))
+        object.__setattr__(self, "a2", _converted(complex, self.a2, "A2"))
 
     @property
     def leak_ratio(self) -> float:
@@ -73,9 +74,9 @@ def _modulus(z: complex) -> float:
 
 def conjugate_amplitudes(spec: PsaSpec, errors: ErrorSchedule, contrast=1.0) -> ConjugatePair:
     """Closed-form (A1, A2) for an algorithm under a step-error schedule."""
-    contrast = float(contrast)
-    if not np.isfinite(contrast) or contrast <= 0.0:
-        raise ValueError(f"contrast must be finite and > 0, got {contrast!r}")
+    contrast = _real(contrast, "contrast")
+    if contrast <= 0.0:
+        raise ValueError(f"contrast must be > 0, got {contrast!r}")
     if errors.n_frames != spec.n_steps:
         raise RefusalError(
             f"error schedule has {errors.n_frames} entries for a {spec.n_steps}-step algorithm"

@@ -12,6 +12,7 @@ origin at pixel (0, 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +31,10 @@ def wrap(values):
     """Wrap phase values (radians) to the interval [-pi, pi).
 
     Always returns a new ndarray (0-d for scalar input); the input is only read.
-    Refuses a NaN or infinite entry with ``ValueError``, read off the same
-    min and max that pick the path for large entries.
+    Refuses an entry past the float range with ``ValueError``, and a NaN or
+    infinite one, read off the same min and max that pick the path for large entries.
     """
-    v = np.asarray(values, dtype=np.float64)
+    v = _converted(np.asarray, values, "phase values", dtype=np.float64)
     low, high = (float(v.min()), float(v.max())) if v.size else (0.0, 0.0)
     if not (np.isfinite(low) and np.isfinite(high)):
         raise ValueError(f"phase values of shape {v.shape} contain non-finite values")
@@ -78,12 +79,42 @@ class _Owned:
         self.array = array
 
 
+def _converted(convert, value, what, **options):
+    """``convert(value, **options)``, the one conversion of every public input; a value
+    past the float range, ``OverflowError`` to Python and numpy, raises ``ValueError``."""
+    try:
+        return convert(value, **options)
+    except OverflowError:
+        raise ValueError(f"{what} holds a value past the float range") from None
+
+
+def _real(value, what) -> float:
+    """``value`` as a finite float; refuses NaN, an infinity and a value past the
+    float range.  ``float`` rather than an array keeps it cheap per call."""
+    number = _converted(float, value, what)
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {number!r}")
+    return number
+
+
+def _count(value, what, least) -> int:
+    """``value`` as an int of at least ``least``: an int or an integral float
+    such as 5.0, exact up to 2**53; refuses 2.5 as well as what :func:`_real` does."""
+    number = _real(value, what)
+    if not number.is_integer():
+        raise ValueError(f"{what} must be a whole number, got {number!r}")
+    if number < least:
+        raise ValueError(f"{what} must be at least {least}, got {int(number)}")
+    return int(number)
+
+
 def _validated(values, dtype, what, min_shape) -> np.ndarray:
     """A private copy of ``values`` (or the array of an :class:`_Owned`) with
     one axis per entry of ``min_shape``, each at least that long, and only
     finite entries; an owned non-finite array is an overflow, so degenerate."""
     owned = isinstance(values, _Owned)
-    v = np.asarray(values.array, dtype=dtype) if owned else np.array(values, dtype=dtype, copy=True)
+    v = (np.asarray(values.array, dtype=dtype) if owned
+         else _converted(np.array, values, what, dtype=dtype, copy=True))
     if v.ndim != len(min_shape) or any(n < m for n, m in zip(v.shape, min_shape)):
         raise ValueError(
             f"{what} must be {len(min_shape)}D with shape at least {min_shape}, got shape {v.shape}"
@@ -110,9 +141,9 @@ def _peak(modulus, what, shape) -> float:
 
 
 def _nominal_step(value) -> float:
-    step = float(value)
-    if not np.isfinite(step) or step == 0.0:
-        raise ValueError(f"nominal step must be finite and nonzero, got {step!r}")
+    step = _real(value, "nominal step")
+    if step == 0.0:
+        raise ValueError(f"nominal step must be nonzero, got {step!r}")
     return step
 
 
@@ -189,10 +220,7 @@ class CarrierSpec:
     v0: float = 0.0
 
     def __post_init__(self):
-        u0 = float(self.u0)
-        v0 = float(self.v0)
-        if not (np.isfinite(u0) and np.isfinite(v0)):
-            raise ValueError("carrier frequency must be finite")
+        u0, v0 = _real(self.u0, "carrier frequency u0"), _real(self.v0, "carrier frequency v0")
         mag = float(np.hypot(u0, v0))
         if not 0.0 < mag < np.pi:
             raise ValueError(
@@ -275,9 +303,7 @@ def synthesize_wavefront(kind, amplitude, shape, coefficients=None) -> PhaseMap:
     """
     if kind not in WAVEFRONT_KINDS:
         raise ValueError(f"unknown wavefront kind {kind!r}, expected one of {WAVEFRONT_KINDS}")
-    height, width = int(shape[0]), int(shape[1])
-    if height < 2 or width < 2:
-        raise ValueError(f"wavefront grid must be at least 2x2, got {height}x{width}")
+    height, width = _count(shape[0], "wavefront height", 2), _count(shape[1], "wavefront width", 2)
 
     if kind == "flat":
         if amplitude not in (None, 0, 0.0):
@@ -285,9 +311,9 @@ def synthesize_wavefront(kind, amplitude, shape, coefficients=None) -> PhaseMap:
         return PhaseMap(np.zeros((height, width)))
 
     if kind != "polynomial" or amplitude is not None:
-        amplitude = float(amplitude)
-        if not np.isfinite(amplitude) or amplitude < 0.0:
-            raise ValueError(f"amplitude must be finite and >= 0, got {amplitude!r}")
+        amplitude = _real(amplitude, "amplitude")
+        if amplitude < 0.0:
+            raise ValueError(f"amplitude must be >= 0, got {amplitude!r}")
 
     x = np.arange(width, dtype=np.float64)
     y = np.arange(height, dtype=np.float64)
@@ -303,9 +329,8 @@ def synthesize_wavefront(kind, amplitude, shape, coefficients=None) -> PhaseMap:
     else:
         if coefficients is None:
             raise ValueError("polynomial wavefront requires a coefficient table")
-        coeffs = np.atleast_2d(np.asarray(coefficients, dtype=np.float64))
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("polynomial coefficients must be finite")
+        coeffs = _validated(np.atleast_2d(coefficients), np.float64, "polynomial coefficients",
+                            (1, 1))
         x_hat = (x - cx) / cx
         y_hat = (y - cy) / cy
         # an overflowed profile is refused by the owned check or the span's
@@ -340,12 +365,8 @@ def make_error_schedule(kind, n_frames, magnitude=0.0, nominal_step=None, seed=N
     """
     if kind not in ERROR_KINDS:
         raise ValueError(f"unknown error-schedule kind {kind!r}, expected one of {ERROR_KINDS}")
-    n_frames = int(n_frames)
-    if n_frames < 3:
-        raise ValueError(f"schedule needs at least 3 frames, got {n_frames}")
-    magnitude = float(magnitude)
-    if not np.isfinite(magnitude):
-        raise ValueError("schedule magnitude must be finite")
+    n_frames = _count(n_frames, "schedule frame count", 3)
+    magnitude = _real(magnitude, "schedule magnitude")
 
     if kind == "zero":
         return ErrorSchedule(np.zeros(n_frames))
@@ -353,7 +374,7 @@ def make_error_schedule(kind, n_frames, magnitude=0.0, nominal_step=None, seed=N
         if nominal_step is None:
             raise ValueError("quadratic-pzt schedule requires the nominal step")
         n = np.arange(n_frames, dtype=np.float64)
-        return ErrorSchedule(magnitude * (n * float(nominal_step)) ** 2)
+        return ErrorSchedule(magnitude * (n * _real(nominal_step, "nominal step")) ** 2)
 
     rng = np.random.default_rng(seed)
     if kind == "uniform":
@@ -379,19 +400,17 @@ def _max_slope_along(truth: PhaseMap, carrier: CarrierSpec) -> float:
 
 def _synthesis_scalars(background, contrast, n_frames, noise_sigma):
     """:func:`generate_stack`'s checks of its scalar parameters; returns the
-    validated background, contrast and noise sigma."""
-    background = float(background)
-    contrast = float(contrast)
-    noise_sigma = float(noise_sigma)
-    if not np.isfinite(background) or not np.isfinite(contrast) or contrast <= 0.0:
-        raise ValueError(f"need finite background and contrast > 0, got a={background!r} b={contrast!r}")
+    validated background, contrast, frame count and noise sigma."""
+    background, contrast = _real(background, "background"), _real(contrast, "contrast")
+    if contrast <= 0.0:
+        raise ValueError(f"contrast must be > 0, got {contrast!r}")
     if background < contrast:
         raise ValueError(f"background {background} < contrast {contrast} gives negative intensities")
-    if n_frames < 3:
-        raise ValueError(f"stack needs at least 3 frames, got {n_frames}")
-    if noise_sigma < 0.0 or not np.isfinite(noise_sigma):
-        raise ValueError(f"noise sigma must be finite and >= 0, got {noise_sigma!r}")
-    return background, contrast, noise_sigma
+    n_frames = _count(n_frames, "stack frame count", 3)
+    noise_sigma = _real(noise_sigma, "noise sigma")
+    if noise_sigma < 0.0:
+        raise ValueError(f"noise sigma must be >= 0, got {noise_sigma!r}")
+    return background, contrast, n_frames, noise_sigma
 
 
 def _synthesis_trig(truth: PhaseMap, carrier):
@@ -434,9 +453,8 @@ def generate_stack(
     Noise, when ``noise_sigma > 0``, is additive white Gaussian drawn from
     a generator seeded with ``seed``; generation is bit-reproducible.
     """
-    n_frames = int(n_frames)
-    background, contrast, noise_sigma = _synthesis_scalars(background, contrast, n_frames,
-                                                           noise_sigma)
+    background, contrast, n_frames, noise_sigma = _synthesis_scalars(background, contrast,
+                                                                     n_frames, noise_sigma)
     cos, sin = _synthesis_trig(truth, carrier)
     nominal_step = _nominal_step(nominal_step)
     if errors is None:

@@ -10,6 +10,7 @@ to their sidecar, ``<stem>_NNN.f32`` (or ``.pgm`` for camera data).
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -25,6 +26,10 @@ from .fields import (
     StackMetadata,
     _peak,
 )
+
+
+# P5, then width, height and maxval after whitespace or comment lines, then one whitespace byte
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 def dump_json(path, payload) -> Path:
@@ -232,33 +237,23 @@ def load_stack(sidecar_path) -> InterferogramStack:
 def read_pgm(path) -> np.ndarray:
     """Read a binary (P5) PGM, 8-bit or big-endian 16-bit."""
     data = Path(path).read_bytes()
-    tokens = []
-    position = 0
-    while len(tokens) < 4:
-        while position < len(data) and data[position : position + 1].isspace():
-            position += 1
-        if position < len(data) and data[position : position + 1] == b"#":
-            while position < len(data) and data[position] != 0x0A:
-                position += 1
-            continue
-        start = position
-        while position < len(data) and not data[position : position + 1].isspace():
-            position += 1
-        if start == position:
-            raise ValueError(f"{path} has a truncated PGM header")
-        tokens.append(data[start:position])
-    position += 1  # single whitespace byte after maxval
-    if tokens[0] != b"P5":
-        raise ValueError(f"{path} is not a binary PGM (magic {tokens[0]!r})")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if not data.startswith(b"P5"):
+        raise ValueError(f"{path} is not a binary PGM (magic {data[:2]!r})")
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ValueError(f"{path} has a truncated PGM header: after P5 it needs width, "
+                         "height and maxval in decimal digits")
+    width, height, maxval = map(int, header.groups())
+    if width == 0 or height == 0:
+        raise ValueError(f"{path} has an empty {width}x{height} PGM image")
     if not 0 < maxval < 65536:
         raise ValueError(f"{path} has unsupported maxval {maxval}")
     dtype = np.dtype("u1") if maxval < 256 else np.dtype(">u2")
     expected = width * height
-    available = (len(data) - position) // dtype.itemsize
+    available = (len(data) - header.end()) // dtype.itemsize
     if available < expected:
         raise ValueError(f"{path} holds {available} pixels, header says {expected}")
-    pixels = np.frombuffer(data, dtype=dtype, count=expected, offset=position)
+    pixels = np.frombuffer(data, dtype=dtype, count=expected, offset=header.end())
     return pixels.reshape(height, width).copy()
 
 

@@ -13,6 +13,7 @@ from .fields import (
     TWO_PI,
     CarrierSpec,
     PhaseMap,
+    _count,
     _freeze,
     _overflowed,
     _Owned,
@@ -63,9 +64,7 @@ def wrapped_diff(first: PhaseMap, second: PhaseMap) -> PhaseMap:
 
 
 def _interior(shape, crop):
-    crop = int(crop)
-    if crop < 0:
-        raise ValueError(f"crop must be >= 0, got {crop}")
+    crop = _count(crop, "crop", 0)
     height, width = shape
     if 2 * crop > min(height, width) - 2:
         raise ValueError(f"crop {crop} px leaves under 2 interior pixels on a {height}x{width} map")
@@ -103,7 +102,7 @@ def remove_piston_tilt(diff: PhaseMap, crop: int = 0, tilt: bool = True):
     residual, piston, plane = _piston_tilt(diff.values, diff.wrapped, trig, (rows, cols), tilt)
     pv, rms = _pv_rms(residual[rows, cols])
     report = PhaseDiffReport(pv=pv, rms=rms, piston_removed=float(wrap(piston)),
-                             tilt_removed=plane, crop=int(crop))
+                             tilt_removed=plane, crop=rows.start)
     return PhaseMap(_Owned(residual), wrapped=True), report
 
 
@@ -372,9 +371,7 @@ def montecarlo_repeatability(
     """
     if method not in ("temporal", "spatial"):
         raise ValueError(f"unknown method {method!r}, expected 'temporal' or 'spatial'")
-    trials = int(trials)
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials for repeatability, got {trials}")
+    trials = _count(trials, "trials", 2)
 
     if method == "spatial":
         if carrier is None:
@@ -385,8 +382,8 @@ def montecarlo_repeatability(
     elif crop is None:
         crop = 0
     _interior(truth.shape, crop)
-    background, contrast, noise_sigma = _synthesis_scalars(background, contrast, spec.n_steps,
-                                                           noise_sigma)
+    background, contrast, _, noise_sigma = _synthesis_scalars(background, contrast, spec.n_steps,
+                                                              noise_sigma)
     try:
         children = np.random.SeedSequence(seed).spawn(trials)
     except OverflowError:  # spawn counts in a C ssize_t

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RefusalError
-from .fields import (TWO_PI, ComplexField, InterferogramStack, PhaseMap, _nominal_step, _Owned,
-                     _peak, wrap)
+from .fields import (TWO_PI, ComplexField, InterferogramStack, PhaseMap, _converted, _count,
+                     _nominal_step, _Owned, _peak, _validated, wrap)
 
 # a coefficient vector counts as real when its imaginary part is at this
 # relative level; as background-rejecting when |H(0)| is
@@ -52,17 +52,11 @@ class PsaSpec:
     nominal_step: float
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coefficients))
-        if np.iscomplexobj(c):
-            c = np.asarray(c, dtype=np.complex128)
-            scale = np.abs(c).max() if c.size else 0.0
-            if scale > 0 and np.abs(c.imag).max() <= _REAL_TOL * scale:
-                c = c.real.copy()
-        c = c.astype(np.complex128 if np.iscomplexobj(c) else np.float64)
-        if c.ndim != 1 or c.size < 2:
-            raise ValueError(f"need at least 2 taps, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("tap coefficients must be finite")
+        c = np.atleast_1d(self.coefficients)
+        c = _validated(c, np.complex128 if np.iscomplexobj(c) else np.float64,
+                       "tap coefficients", (2,))
+        if np.iscomplexobj(c) and np.abs(c.imag).max() <= _REAL_TOL * np.abs(c).max():
+            c = c.real.copy()
         if not np.any(c != 0):
             raise ValueError("tap coefficients are all zero")
         c.setflags(write=False)
@@ -105,7 +99,7 @@ def ftf_eval(spec: PsaSpec, omega):
 
     ``omega`` is the detuning from the nominal step; scalar in, scalar out.
     """
-    om = np.asarray(omega, dtype=np.float64)
+    om = _converted(np.asarray, omega, "detuning omega", dtype=np.float64)
     scalar = om.ndim == 0
     om = np.atleast_1d(om)
     n = np.arange(spec.n_steps)
@@ -120,9 +114,7 @@ def ftf_sweep(spec: PsaSpec, samples: int = 1024):
 
     The default 1024-point grid contains 0, +-pi/2 and -pi exactly.
     """
-    samples = int(samples)
-    if samples < 2:
-        raise ValueError(f"need at least 2 sweep samples, got {samples}")
+    samples = _count(samples, "sweep sample count", 2)
     omegas = -np.pi + TWO_PI * np.arange(samples) / samples
     return omegas, ftf_eval(spec, omegas)
 
@@ -139,11 +131,7 @@ def taps_from_zeros(zeros, nominal_step) -> PsaSpec:
     The taps are unnormalized; rescale by the passband gain sum(c_n) when a
     unit-gain design is wanted.
     """
-    zs = np.atleast_1d(np.asarray(zeros, dtype=np.float64))
-    if zs.ndim != 1 or zs.size < 1:
-        raise ValueError("need at least one zero location")
-    if not np.all(np.isfinite(zs)):
-        raise ValueError("zero locations must be finite")
+    zs = _validated(np.atleast_1d(zeros), np.float64, "zero locations", (1,))
     step = _nominal_step(nominal_step)
     for z in zs:
         if abs(float(wrap(z + step))) < 1e-9:

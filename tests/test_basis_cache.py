@@ -199,8 +199,8 @@ def test_signed_zero_truth_pixel_rebuilds(sh5):
 @pytest.mark.parametrize(
     "bad, message",
     [
-        (dict(contrast=-1.0), "contrast > 0"),
-        (dict(background=np.inf), "finite background"),
+        (dict(contrast=-1.0), "contrast must be > 0, got -1.0"),
+        (dict(background=np.inf), "background must be finite, got inf"),
         (dict(noise_sigma=np.nan), "noise sigma"),
         (dict(crop=20), "crop 20 px leaves under 2 interior pixels"),
     ],

@@ -451,12 +451,26 @@ def test_overflowing_runs_leave_out_as_found(tmp_path, args, code, message):
     assert not any(tmp_path.iterdir())
 
 
+def test_a_request_too_large_to_allocate_exits_2_and_writes_nothing(tmp_path, monkeypatch):
+    # numpy's _ArrayMemoryError is a MemoryError; raising one stands in for a
+    # request such as --frames 100000000, which is never allocated here
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 763. GiB for an array")
+
+    monkeypatch.setattr(cli, "generate_stack", too_large)
+    out = tmp_path / "x"
+    code, _, err = run_cli("simulate", "--width", 32, "--height", 32, "--out", out)
+    assert code == 2
+    assert "error: Unable to allocate 763. GiB for an array" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("step", ["nan", "inf"])
 def test_demod_non_finite_omega0_refused(tmp_path, step):
     code, _, err = run_cli("demod", "--width", 32, "--height", 32, "--omega0", step,
                            "--out", tmp_path / "x")
     assert code == 2
-    assert "nominal step must be finite and nonzero" in err
+    assert f"nominal step must be finite, got {step}" in err
 
 
 @pytest.mark.parametrize("method", ["temporal", "spatial"])

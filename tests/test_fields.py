@@ -77,7 +77,8 @@ def test_wrapped_phase_map_range_slack_is_the_boundary(value, accepted):
 
 @pytest.mark.parametrize("u0, v0", [(np.nan, 0.0), (0.5, np.inf), (-np.inf, 0.5)])
 def test_carrier_spec_names_a_non_finite_component(u0, v0):
-    with pytest.raises(ValueError, match="carrier frequency must be finite"):
+    component = "u0" if not np.isfinite(u0) else "v0"
+    with pytest.raises(ValueError, match=f"carrier frequency {component} must be finite"):
         p.CarrierSpec(u0, v0)
 
 
@@ -85,9 +86,9 @@ def test_three_frames_are_the_fewest_a_stack_or_schedule_takes():
     truth = p.synthesize_wavefront("defocus", 1.0, (8, 8))
     assert p.generate_stack(truth, 128.0, 100.0, 2 * np.pi / 3, 3).n_frames == 3
     assert p.make_error_schedule("uniform", 3, magnitude=0.1, seed=1).n_frames == 3
-    with pytest.raises(ValueError, match="stack needs at least 3 frames, got 2"):
+    with pytest.raises(ValueError, match="stack frame count must be at least 3, got 2"):
         p.generate_stack(truth, 128.0, 100.0, 2 * np.pi / 3, 2)
-    with pytest.raises(ValueError, match="schedule needs at least 3 frames, got 2"):
+    with pytest.raises(ValueError, match="schedule frame count must be at least 3, got 2"):
         p.make_error_schedule("uniform", 2, magnitude=0.1, seed=1)
 
 
@@ -167,11 +168,15 @@ def test_synthesize_rejects_bad_inputs():
         p.synthesize_wavefront("vortex", 1.0, (64, 64))
     with pytest.raises(ValueError):
         p.synthesize_wavefront("defocus", np.inf, (64, 64))
+    with pytest.raises(ValueError, match="amplitude must be >= 0, got -1.0"):
+        p.synthesize_wavefront("defocus", -1.0, (64, 64))
+    assert not p.synthesize_wavefront("defocus", 0.0, (64, 64)).values.any()
     with pytest.raises(ValueError, match="polynomial wavefront requires a coefficient table"):
         p.synthesize_wavefront("polynomial", 1.0, (64, 64))
-    with pytest.raises(ValueError, match="at least 2x2, got 1x5"):
+    with pytest.raises(ValueError, match="wavefront height must be at least 2, got 1"):
         p.synthesize_wavefront("defocus", 1.0, (1, 5))
-    with pytest.raises(ValueError, match="polynomial coefficients must be finite"):
+    non_finite = r"polynomial coefficients of shape \(1, 2\) contains non-finite values"
+    with pytest.raises(ValueError, match=non_finite):
         p.synthesize_wavefront("polynomial", 1.0, (8, 8), coefficients=[[0.0, np.nan]])
 
 
@@ -340,7 +345,7 @@ def test_generate_stack_refuses_a_bad_nominal_step_before_synthesis(step):
     # refused before synthesis: a non-finite step must not reach the trig of
     # the frames, where it warns and overflows
     truth = p.synthesize_wavefront("defocus", 1.0, (16, 16))
-    with pytest.raises(ValueError, match="nominal step must be finite and nonzero"):
+    with pytest.raises(ValueError, match=f"nominal step must be finite, got {step!r}"):
         p.generate_stack(truth, 128.0, 100.0, step, 5)
 
 

@@ -205,8 +205,13 @@ def test_pgm_rejects_bad_inputs(tmp_path):
         (b"P5\n4 4\n", "truncated PGM header"),
         (b"P5\n1 1\n0\n\x00", "unsupported maxval 0"),
         (b"P5\n1 1\n65536\n\x00\x00", "unsupported maxval 65536"),
+        # numpy would reshape to (4, -4) as to (4, 4)
+        (b"P5\n-4 4\n255\n" + bytes(16), "truncated PGM header"),
+        (b"P5\n0 4\n255\n", "empty 0x4 PGM image"),
+        (b"P5\n+4 4\n255\n" + bytes(16), "truncated PGM header"),
     ],
-    ids=["truncated", "maxval-0", "maxval-65536"],
+    ids=["truncated", "maxval-0", "maxval-65536", "negative-width", "zero-width",
+         "signed-width"],
 )
 def test_read_pgm_refuses_a_bad_header(tmp_path, header, message):
     (tmp_path / "bad.pgm").write_bytes(header)

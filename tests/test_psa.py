@@ -104,7 +104,7 @@ def test_taps_from_zeros_passband_refused():
 def test_taps_from_zeros_refuses_a_bad_nominal_step(step):
     # refused before the zeros are placed, where the step would warn or
     # leave non-finite taps
-    with pytest.raises(ValueError, match="nominal step must be finite and nonzero"):
+    with pytest.raises(ValueError, match=f"nominal step must be finite, got {step!r}"):
         p.taps_from_zeros([np.pi / 2], step)
 
 
@@ -155,9 +155,11 @@ def test_nominal_step_match_tolerance(step, offset, refused):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: p.ftf_sweep(p.sh5_spec(), 1), "need at least 2 sweep samples, got 1"),
-        (lambda: p.taps_from_zeros([], np.pi / 2), "need at least one zero location"),
-        (lambda: p.taps_from_zeros([0.0, np.inf], np.pi / 2), "zero locations must be finite"),
+        (lambda: p.ftf_sweep(p.sh5_spec(), 1), "sweep sample count must be at least 2, got 1"),
+        (lambda: p.taps_from_zeros([], np.pi / 2),
+         r"zero locations must be 1D with shape at least \(1,\), got shape \(0,\)"),
+        (lambda: p.taps_from_zeros([0.0, np.inf], np.pi / 2),
+         r"zero locations of shape \(2,\) contains non-finite values"),
     ],
     ids=["one-sample-sweep", "no-zeros", "non-finite-zero"],
 )
